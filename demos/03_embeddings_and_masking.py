@@ -6,7 +6,8 @@ import numpy as np
 
 from unittab.data import PollutionConfig, gen_pollution_like
 from unittab.embedding import freq_encode, prepare_series, split_timestamp
-from unittab.schema import Time
+from unittab.model import smoothed_bin_targets, smoothed_class_targets
+from unittab.schema import Time, quantize_array
 from unittab.training import TrainConfig, apply_masking, smooth_categorical, smooth_neighborhood
 
 # Frequency features: interleaved sin/cos at geometrically spaced frequencies.
@@ -32,13 +33,23 @@ n_slots = sum(len(m) for m in sample.mask)
 n_masked = sum(int(m.sum()) for m in sample.mask)
 print(f"\nmasked {n_masked} of {n_slots} input slots; {len(sample.targets)} targets")
 
+# Targets are (row, field) positions; the model's batch forward turns the
+# source values at those positions into smoothed distributions, once per
+# attribute for the whole batch. Here the same functions run on one target each.
 names = expanded.row_types[0].attributes
-for tg in sample.targets[:4]:
-    spec = expanded.attributes[tg.attr]
-    kind = "neighborhood" if spec.kind == "numerical" else "categorical"
-    support = int(np.count_nonzero(tg.dist))
-    print(f"  row {tg.row:2d} field {names[tg.field]:20s} {kind:12s} "
-          f"support={support:3d} sum={tg.dist.sum():.12f}")
+for row, field in sample.targets[:4].tolist():
+    spec = expanded.attributes[names[field]]
+    src = sample.rows[row]
+    if spec.kind == "numerical":
+        kind = "neighborhood"
+        dist = smoothed_bin_targets(quantize_array(src.num_vals[field:field + 1], spec),
+                                    spec.n_bins, cfg.epsilon, cfg.neighborhood_radius)[0]
+    else:
+        kind = "categorical"
+        dist = smoothed_class_targets(src.cat_ids[field:field + 1], len(spec.vocab),
+                                      cfg.epsilon)[0]
+    print(f"  row {row:2d} field {names[field]:20s} {kind:12s} "
+          f"support={int(np.count_nonzero(dist)):3d} sum={dist.sum():.12f}")
 
 # The two smoothing rules side by side for a 12-bin vocabulary.
 print("\ncategorical smoothing, v=4, eps=0.1:")

@@ -12,12 +12,12 @@ to per-attribute prediction heads at masked positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embedding import build_bank, embed_slot_batch
-from .schema import CATEGORICAL, NUMERICAL, Schema
+from .embedding import build_bank, embed_slot_batch, normalize_numeric
+from .schema import CATEGORICAL, NUMERICAL, Schema, quantize_array
 from .tensor import (
     Tensor, concat, dropout, embedding_gather, gelu, layer_norm, matmul,
     relu, reshape, slice_, softmax, transpose,
@@ -94,6 +94,85 @@ class PretrainOutput:
     cat_groups: list  # (attr, logits Tensor (N, q), target dists ndarray (N, q))
     reg_groups: list  # (attr, preds Tensor (N,), scalar targets ndarray (N,))
     n_masked: int = 0
+
+
+@dataclass
+class _RowLayout:
+    """Where the rows of a batch sit once grouped by row type: types in
+    ascending id, rows of one type in (sample, row) order, and the fields of
+    the grouped rows numbered consecutively as slots."""
+    shape: tuple[int, int]                    # (B, T)
+    type_order: list[int]
+    groups: dict[int, list[tuple[int, int]]]  # type id -> (sample, row) members
+    row_flat: np.ndarray                      # sample * T + row, per grouped row
+    slot_base: np.ndarray                     # (B, T) slot of each row's first field
+    values: dict = field(default_factory=dict)  # type id -> stacked (cat ids, values, missing)
+
+    @classmethod
+    def build(cls, rows_by_sample, schema: Schema) -> "_RowLayout":
+        b, t = len(rows_by_sample), max(len(r) for r in rows_by_sample)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for bb, rows in enumerate(rows_by_sample):
+            for i, row in enumerate(rows):
+                groups.setdefault(row.type_id, []).append((bb, i))
+        type_order = sorted(groups)
+        row_flat = []
+        slot_base = np.full((b, t), -1, dtype=np.int64)
+        n_slots = 0
+        for h in type_order:
+            members = np.array(groups[h], dtype=np.int64)
+            k = schema.row_type(h).arity
+            row_flat.append(members[:, 0] * t + members[:, 1])
+            slot_base[members[:, 0], members[:, 1]] = n_slots + np.arange(len(members)) * k
+            n_slots += len(members) * k
+        layout = cls((b, t), type_order, groups, np.concatenate(row_flat), slot_base)
+        layout.values = layout.stack(rows_by_sample)
+        return layout
+
+    def stack(self, rows_by_sample) -> dict:
+        """Per row type, the members' (cat ids, values, missing flags) as
+        (r, k) arrays; `rows_by_sample` must have this layout's row types."""
+        out = {}
+        for h in self.type_order:
+            rows = [rows_by_sample[b][i] for b, i in self.groups[h]]
+            out[h] = (np.stack([r.cat_ids for r in rows]), np.stack([r.num_vals for r in rows]),
+                      np.stack([r.is_missing for r in rows]))
+        return out
+
+    def flatten(self, values: dict, schema: Schema):
+        """Slot-order category ids, numerical values and attribute ids."""
+        tables = schema.slots
+        parts = [(values[h][0].reshape(-1), values[h][1].reshape(-1),
+                  np.tile(tables.attr_id[h, :tables.arity[h]], len(self.groups[h])))
+                 for h in self.type_order]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def smoothed_class_targets(labels: np.ndarray, q: int, eps: float) -> np.ndarray:
+    """Rows of `training.smooth_categorical`, bit for bit: 1 - eps at the
+    label, eps spread evenly over the other q - 1 classes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not (0 <= labels.min() and labels.max() < q):
+        raise ValueError(f"class labels out of range for vocabulary size {q}")
+    if q == 1:
+        return np.ones((labels.size, 1))
+    p = np.full((labels.size, q), eps / (q - 1))
+    p[np.arange(labels.size), labels] = 1.0 - eps
+    return p
+
+
+def smoothed_bin_targets(bins: np.ndarray, q: int, eps: float, radius: int) -> np.ndarray:
+    """Rows of `training.smooth_neighborhood`, bit for bit: 1 - eps at the
+    bin, eps shared by the in-range bins within `radius`, and all mass at
+    the bin when it has no such neighbor."""
+    bins = np.asarray(bins, dtype=np.int64)
+    if bins.size and not (0 <= bins.min() and bins.max() < q):
+        raise ValueError(f"bins out of range for {q} bins")
+    near = np.abs(np.arange(q) - bins[:, None]) <= radius
+    n_near = near.sum(axis=1) - 1
+    p = np.where(near, (eps / np.maximum(n_near, 1))[:, None], 0.0)
+    p[np.arange(bins.size), bins] = np.where(n_near > 0, 1.0 - eps, 1.0)
+    return p
 
 
 class Model:
@@ -311,29 +390,17 @@ class Model:
 
     def _embed_rows(self, rows_by_sample, masks_by_sample, rng, training):
         """Group all rows by type, embed fields, run the Field Transformer,
-        and project to width m. Returns the type-grouped projection tensor,
-        the (sample, row) -> concat position map, and per-type bookkeeping."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for b, rows in enumerate(rows_by_sample):
-            for i, row in enumerate(rows):
-                groups.setdefault(row.type_id, []).append((b, i))
-        concat_pos: dict[tuple[int, int], int] = {}
-        type_order = sorted(groups)
+        and project to width m. Returns the type-grouped projection tensor
+        and the batch's _RowLayout."""
+        layout = _RowLayout.build(rows_by_sample, self.schema)
         projected = []
-        flat_base: dict[int, int] = {}
-        group_index: dict[tuple[int, int], int] = {}
-        offset = 0
-        flat_offset = 0
-        for h in type_order:
-            members = groups[h]
+        for h in layout.type_order:
+            members = layout.groups[h]
             rt = self.schema.row_type(h)
-            k = rt.arity
             r = len(members)
-            ids = np.stack([rows_by_sample[b][i].cat_ids for b, i in members])
-            vals = np.stack([rows_by_sample[b][i].num_vals for b, i in members])
-            miss = np.stack([rows_by_sample[b][i].is_missing for b, i in members])
+            ids, vals, miss = layout.values[h]
             if masks_by_sample is None:
-                maskf = np.zeros((r, k), dtype=bool)
+                maskf = np.zeros((r, rt.arity), dtype=bool)
             else:
                 maskf = np.stack([masks_by_sample[b][i] for b, i in members])
             slots = []
@@ -343,28 +410,22 @@ class Model:
                 slots.append(reshape(e, (r, 1, self.config.d)))
             x = self.field_forward(concat(slots, axis=1), rng, training)
             projected.append(self.project_row(x, h))
-            for j, key in enumerate(members):
-                concat_pos[key] = offset + j
-                group_index[key] = j
-            flat_base[h] = flat_offset
-            flat_offset += r * k
-            offset += r
-        return concat(projected, axis=0), concat_pos, type_order, groups, flat_base, group_index
+        return concat(projected, axis=0), layout
 
-    def _assemble_sequence(self, proj: Tensor, concat_pos, b: int, t: int) -> tuple[Tensor, np.ndarray]:
+    def _assemble_sequence(self, proj: Tensor, layout: _RowLayout) -> tuple[Tensor, np.ndarray]:
         table = concat([proj, Tensor(np.zeros((1, self.config.m)))], axis=0)
-        pad_row = proj.shape[0]
-        gather_ids = np.full((b, t), pad_row, dtype=np.int64)
-        real = np.zeros((b, t), dtype=bool)
-        for (bb, i), pos in concat_pos.items():
-            gather_ids[bb, i] = pos
-            real[bb, i] = True
-        seq = reshape(embedding_gather(table, gather_ids.reshape(-1)), (b, t, self.config.m))
-        return seq, real
+        b, t = layout.shape
+        gather_ids = np.full(b * t, proj.shape[0], dtype=np.int64)
+        gather_ids[layout.row_flat] = np.arange(layout.row_flat.size)
+        seq = reshape(embedding_gather(table, gather_ids), (b, t, self.config.m))
+        return seq, gather_ids.reshape(b, t) < proj.shape[0]
 
     def pretrain_forward(self, batch, rng=None, training: bool = True) -> PretrainOutput:
         """Masked-token pass: logits (or scalar predictions in regression
-        mode) are emitted only at masked positions, grouped per attribute."""
+        mode) are emitted only at masked positions, grouped per attribute in
+        attribute-name order; within an attribute, targets keep (sample, row,
+        field) order. Class and bin labels come from the untouched source
+        values and are smoothed once per attribute for the whole batch."""
         rows_by_sample = [s.rows for s in batch]
         masks_by_sample = [s.mask for s in batch]
         b = len(batch)
@@ -375,41 +436,49 @@ class Model:
         out = PretrainOutput(cat_groups=[], reg_groups=[], n_masked=n_masked)
         if n_masked == 0:
             return out
-        proj, concat_pos, type_order, groups, flat_base, group_index = self._embed_rows(
-            rows_by_sample, masks_by_sample, rng, training)
-        seq, real = self._assemble_sequence(proj, concat_pos, b, t)
+        smoothing = {(s.epsilon, s.neighborhood_radius) for s in batch}
+        if len(smoothing) != 1:
+            raise ModelError("all samples of a batch must share one label smoothing setting")
+        (eps, radius), = smoothing
+        proj, layout = self._embed_rows(rows_by_sample, masks_by_sample, rng, training)
+        seq, real = self._assemble_sequence(proj, layout)
         z = self.sequence_forward(seq, real, rng, training, with_cls=False)
         zflat = reshape(z, (b * t, self.config.m))
-        sel = np.array([bb * t + i for h in type_order for bb, i in groups[h]], dtype=np.int64)
-        zrows = embedding_gather(zflat, sel)
+        zrows = embedding_gather(zflat, layout.row_flat)
         pieces = []
         off = 0
-        for h in type_order:
-            r = len(groups[h])
+        for h in layout.type_order:
+            r = len(layout.groups[h])
             k = self.schema.row_type(h).arity
             zh = self.unproject_row(slice_(zrows, (slice(off, off + r),)), h)
             pieces.append(reshape(zh, (r * k, self.config.d)))
             off += r
         slices = concat(pieces, axis=0)
 
-        by_attr: dict[str, list] = {}
-        for bb, sample in enumerate(batch):
-            for tg in sample.targets:
-                h = rows_by_sample[bb][tg.row].type_id
-                k = self.schema.row_type(h).arity
-                flat = flat_base[h] + group_index[(bb, tg.row)] * k + tg.field
-                by_attr.setdefault(tg.attr, []).append((flat, tg))
-        for attr in sorted(by_attr):
-            entries = by_attr[attr]
-            idx = np.array([e[0] for e in entries], dtype=np.int64)
-            x = embedding_gather(slices, idx)
-            pred = self._head(attr, x)
+        values = layout.values
+        if any(s.source is not None for s in batch):
+            values = layout.stack([s.rows if s.source is None else s.source for s in batch])
+        cat_ids, num_vals, slot_attr = layout.flatten(values, self.schema)
+        sample_of = np.repeat(np.arange(b), [len(s.targets) for s in batch])
+        pos = np.concatenate([s.targets for s in batch])
+        slot = layout.slot_base[sample_of, pos[:, 0]] + pos[:, 1]
+        slot = slot[np.argsort(slot_attr[slot], kind="stable")]
+        attr_ids, first = np.unique(slot_attr[slot], return_index=True)
+        bounds = np.append(first, slot.size).tolist()
+        for a, lo, hi in zip(attr_ids.tolist(), bounds, bounds[1:]):
+            attr = self.schema.slots.names[a]
+            idx = slot[lo:hi]
+            pred = self._head(attr, embedding_gather(slices, idx))
             spec = self.schema.attributes[attr]
-            if spec.kind == NUMERICAL and self.config.numeric_target == "scalar":
-                scalars = np.array([e[1].scalar for e in entries])
-                out.reg_groups.append((attr, reshape(pred, (len(entries),)), scalars))
+            if spec.kind == CATEGORICAL:
+                dists = smoothed_class_targets(cat_ids[idx], len(spec.vocab), eps)
+                out.cat_groups.append((attr, pred, dists))
+            elif self.config.numeric_target == "scalar":
+                scalars = np.clip(normalize_numeric(num_vals[idx], spec, "minmax01"), 0.0, 1.0)
+                out.reg_groups.append((attr, reshape(pred, (idx.size,)), scalars))
             else:
-                dists = np.stack([e[1].dist for e in entries])
+                dists = smoothed_bin_targets(quantize_array(num_vals[idx], spec),
+                                             spec.n_bins, eps, radius)
                 out.cat_groups.append((attr, pred, dists))
         return out
 
@@ -422,8 +491,8 @@ class Model:
         t = max(len(r) for r in rows_by_sample)
         if t > self.config.t_max:
             raise LengthError(f"sequence length {t} exceeds t_max={self.config.t_max}")
-        proj, concat_pos, *_ = self._embed_rows(rows_by_sample, None, rng, training)
-        seq, real = self._assemble_sequence(proj, concat_pos, b, t)
+        proj, layout = self._embed_rows(rows_by_sample, None, rng, training)
+        seq, real = self._assemble_sequence(proj, layout)
         cls = reshape(embedding_gather(self.bank.cls_vec, np.zeros(b, dtype=np.int64)),
                       (b, 1, self.config.m))
         seq = concat([cls, seq], axis=1)

@@ -10,6 +10,7 @@ are safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -176,6 +177,48 @@ class Schema:
 
     def attr(self, name: str) -> AttributeSpec:
         return self.attributes[name]
+
+    @functools.cached_property
+    def slots(self) -> SlotTables:
+        """Per-slot lookup tables, built on first use and kept on this schema."""
+        return SlotTables.build(self)
+
+
+@dataclass(frozen=True)
+class SlotTables:
+    """Array lookups over (row type id, slot) for array-form masking and
+    target grouping. Row 0 and slots past a row type's arity are padding
+    (-1). Attribute ids index `names`, the sorted attribute names."""
+    names: list[str]
+    arity: np.ndarray      # (n + 1,)
+    attr_id: np.ndarray    # (n + 1, k_max)
+    unit: np.ndarray       # (n + 1, k_max) joint masking unit: one per timestamp group
+    n_units: np.ndarray    # (n + 1,) joint masking units per row type
+
+    @classmethod
+    def build(cls, schema: Schema) -> SlotTables:
+        names = sorted(schema.attributes)
+        n = schema.n_row_types
+        k_max = max((rt.arity for rt in schema.row_types), default=0)
+        arity = np.zeros(n + 1, dtype=np.int64)
+        attr_id = np.full((n + 1, k_max), -1, dtype=np.int64)
+        unit = np.full((n + 1, k_max), -1, dtype=np.int64)
+        n_units = np.zeros(n + 1, dtype=np.int64)
+        for rt in schema.row_types:
+            h = rt.type_id
+            arity[h] = rt.arity
+            groups: dict[str, int] = {}
+            for s, name in enumerate(rt.attributes):
+                attr_id[h, s] = names.index(name)
+                g = schema.attributes[name].group
+                if g is not None and g in groups:
+                    unit[h, s] = groups[g]
+                    continue
+                unit[h, s] = n_units[h]
+                n_units[h] += 1
+                if g is not None:
+                    groups[g] = unit[h, s]
+        return cls(names, arity, attr_id, unit, n_units)
 
 
 def default_special_tokens(attributes: dict[str, AttributeSpec]) -> SpecialTokens:

@@ -3,11 +3,23 @@
 Masking plan: every row is row-masked with probability p_r (all fields);
 independently every field unit is masked with probability p_f, where the
 subfields of one timestamp form a single unit (jointly masked or jointly
-unmasked). Masked inputs are replaced by the [MASK] embedding; targets are
-smoothed distributions over the attribute's vocabulary or quantization bins
-(quantized values are targets only, never inputs). Optimization is AdamW
-with decoupled weight decay; the loss averages cross entropy over masked
-positions so the learning rate is batch-size stable.
+unmasked). `apply_masking` decides a whole sample from one draw of
+t + (number of units) doubles: t row draws, then the units of each row in
+row order, using the per-row-type unit tables cached on the schema
+(`Schema.slots`). Masked inputs are replaced by the [MASK] embedding. The
+`bert_80_10_10` variant then draws one more double per target: 80% keep
+[MASK], 10% show a random value (drawn per attribute), 10% show the true
+value; the targets keep the source values either way.
+
+Target format: a `MaskedSample` lists its predicted positions as an (n, 2)
+array of (row, field) indices in row-major order; missing values are never
+targets. `Model.pretrain_forward` groups the targets of a batch by
+attribute and builds the smoothed distributions over the attribute's
+vocabulary or quantization bins once per attribute (quantized values are
+targets only, never inputs); `smooth_categorical` and `smooth_neighborhood`
+below are the one-target reference those batch builders match bit for bit.
+Optimization is AdamW with decoupled weight decay; the loss averages cross
+entropy over masked positions so the learning rate is batch-size stable.
 """
 
 from __future__ import annotations
@@ -20,10 +32,12 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import WindowedSample, balance_upsample, random_crop
-from .embedding import EncodedRow, EncodedSeries, normalize_numeric
-from .metrics import EvalReport, accuracy, average_precision, f1, rmse, roc_auc
+from .embedding import EncodedRow, EncodedSeries
+from .metrics import (
+    EvalReport, UndefinedMetricError, accuracy, average_precision, f1, rmse, roc_auc,
+)
 from .model import Model, PretrainOutput
-from .schema import CATEGORICAL, Schema, quantize
+from .schema import CATEGORICAL, Schema
 from .tensor import NumericError, Tensor, cross_entropy_soft, mean, softmax
 
 
@@ -125,91 +139,91 @@ def smooth_neighborhood(b: int, q: int, eps: float, radius: int) -> np.ndarray:
 
 
 @dataclass
-class MaskTarget:
-    row: int
-    field: int
-    attr: str
-    dist: np.ndarray
-    scalar: float | None = None
-
-
-@dataclass
 class MaskedSample:
-    rows: list[EncodedRow]
+    rows: list[EncodedRow]          # model inputs; a row is copied only if a value is replaced
     mask: list[np.ndarray]          # input-replacement flags, one bool array per row
-    targets: list[MaskTarget]       # predicted positions (missing values excluded)
+    targets: np.ndarray             # (n, 2) int64 (row, field) predicted positions, row-major
+    epsilon: float                  # label smoothing mass for the targets
+    neighborhood_radius: int
+    source: list[EncodedRow] | None = None  # the untouched rows, kept when `rows` differs
     entity: str = ""
 
 
 def apply_masking(sample, schema: Schema, cfg: TrainConfig,
                   rng: np.random.Generator) -> MaskedSample:
-    """Build the masking plan and smoothed targets for one (encoded) sample.
+    """Build the masking plan for one (encoded) sample.
 
-    Fields whose value is missing can be input-masked (row masking masks
-    everything) but contribute no target, since there is nothing to quantize.
+    One draw of t + (masking units) doubles decides every row mask, then
+    every unit mask, row by row. Fields whose value is missing can be
+    input-masked (row masking masks everything) but contribute no target,
+    since there is nothing to quantize.
     """
-    src_rows = sample.rows
-    rows = [EncodedRow(r.type_id, r.cat_ids.copy(), r.num_vals.copy(), r.is_missing.copy())
-            for r in src_rows]
+    rows = list(sample.rows)
     t = len(rows)
-    row_masked = rng.random(t) < cfg.p_r
-    masks: list[np.ndarray] = []
-    targets: list[MaskTarget] = []
-    for i, row in enumerate(rows):
-        rt = schema.row_type(row.type_id)
-        k = rt.arity
-        units: list[list[int]] = []
-        if cfg.timestamp_joint:
-            seen: dict[str, list[int]] = {}
-            for s, name in enumerate(rt.attributes):
-                g = schema.attributes[name].group
-                if g is None:
-                    units.append([s])
-                elif g in seen:
-                    seen[g].append(s)
-                else:
-                    seen[g] = [s]
-                    units.append(seen[g])
-        else:
-            units = [[s] for s in range(k)]
-        hit = rng.random(len(units)) < cfg.p_f
-        mask = np.zeros(k, dtype=bool)
-        for unit, h in zip(units, hit):
-            if h:
-                mask[unit] = True
-        if row_masked[i]:
-            mask[:] = True
-        for s in np.flatnonzero(mask):
-            if row.is_missing[s]:
-                continue
-            spec = schema.attributes[rt.attributes[s]]
-            if spec.kind == CATEGORICAL:
-                dist = smooth_categorical(int(row.cat_ids[s]), len(spec.vocab), cfg.epsilon)
-                targets.append(MaskTarget(i, int(s), spec.name, dist))
-            else:
-                v = float(row.num_vals[s])
-                b = quantize(v, spec)
-                dist = smooth_neighborhood(b, spec.n_bins, cfg.epsilon, cfg.neighborhood_radius)
-                scalar = float(np.clip(normalize_numeric(np.asarray(v), spec, "minmax01"), 0.0, 1.0))
-                targets.append(MaskTarget(i, int(s), spec.name, dist, scalar))
-        input_mask = mask.copy()
-        if cfg.mask_variant == "bert_80_10_10":
-            for s in np.flatnonzero(mask):
-                if row.is_missing[s]:
-                    continue
-                u = rng.random()
-                if u < 0.8:
-                    continue
-                input_mask[s] = False
-                if u < 0.9:  # random replacement; the target keeps the original value
-                    spec = schema.attributes[rt.attributes[s]]
-                    if spec.kind == CATEGORICAL:
-                        row.cat_ids[s] = rng.integers(0, len(spec.vocab))
-                    else:
-                        row.num_vals[s] = rng.uniform(*spec.value_range)
-        masks.append(input_mask)
+    tables = schema.slots
+    types = np.fromiter((r.type_id for r in rows), dtype=np.int64, count=t)
+    k = tables.arity[types]
+    row_of = np.repeat(np.arange(t), k)
+    starts = np.cumsum(k) - k
+    field = np.arange(row_of.size) - starts[row_of]
+    if cfg.timestamp_joint:
+        n_units = tables.n_units[types]
+        unit = tables.unit[types[row_of], field]
+    else:
+        n_units, unit = k, field
+    u = rng.random(t + int(n_units.sum()))
+    unit_base = t + np.cumsum(n_units) - n_units
+    mask = (u[unit_base[row_of] + unit] < cfg.p_f) | (u[:t] < cfg.p_r)[row_of]
+    missing = np.concatenate([r.is_missing for r in rows]) if t else np.zeros(0, dtype=bool)
+    pos = np.flatnonzero(mask & ~missing)
+    targets = np.stack([row_of[pos], field[pos]], axis=1)
+    source = None
+    if cfg.mask_variant == "bert_80_10_10" and pos.size:
+        corrupted = _corrupt_inputs(rows, mask, pos, targets, types, schema, rng)
+        if corrupted is not rows:
+            rows, source = corrupted, rows
+    ends = (starts + k).tolist()
+    masks = [mask[a:b] for a, b in zip(starts.tolist(), ends)]
     entity = getattr(sample, "entity_id", None) or getattr(sample, "source_entity", "")
-    return MaskedSample(rows, masks, targets, entity)
+    return MaskedSample(rows, masks, targets, cfg.epsilon, cfg.neighborhood_radius,
+                        source, entity)
+
+
+def _corrupt_inputs(rows, mask, pos, targets, types, schema, rng):
+    """BERT 80/10/10 on the predicted positions, in place on `mask`: one
+    double per target keeps 80% as [MASK], unmasks 10% with a random value
+    (one draw per attribute, attributes in id order) and 10% as they are.
+    Targets keep the original values; rows are copied only where a value
+    changes. Returns the (possibly new) row list."""
+    u = rng.random(pos.size)
+    mask[pos[u >= 0.8]] = False
+    swap = np.flatnonzero((u >= 0.8) & (u < 0.9))
+    if not swap.size:
+        return rows
+    tables = schema.slots
+    swap_row, swap_field = targets[swap, 0], targets[swap, 1]
+    attr = tables.attr_id[types[swap_row], swap_field]
+    value = np.empty(swap.size)
+    is_cat = np.zeros(swap.size, dtype=bool)
+    for a in np.unique(attr).tolist():
+        spec = schema.attributes[tables.names[a]]
+        sel = attr == a
+        if spec.kind == CATEGORICAL:
+            value[sel] = rng.integers(0, len(spec.vocab), size=int(sel.sum()))
+            is_cat[sel] = True
+        else:
+            value[sel] = rng.uniform(*spec.value_range, size=int(sel.sum()))
+    rows = list(rows)
+    for i in np.unique(swap_row).tolist():
+        r = rows[i]
+        cat_ids, num_vals = r.cat_ids.copy(), r.num_vals.copy()
+        here = swap_row == i
+        cat = here & is_cat
+        num = here & ~is_cat
+        cat_ids[swap_field[cat]] = value[cat].astype(cat_ids.dtype)
+        num_vals[swap_field[num]] = value[num]
+        rows[i] = EncodedRow(r.type_id, cat_ids, num_vals, r.is_missing)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +467,12 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
         raise ConfigError(f"unknown task {task!r}")
     if any(s.label is None for s in train_samples) or any(s.label is None for s in test_samples):
         raise LabelError(f"{task} fine-tuning needs a label on every sample")
+    if task == "binary":
+        n_pos = sum(1 for s in test_samples if int(s.label) == 1)
+        if n_pos in (0, len(test_samples)):
+            raise UndefinedMetricError(
+                f"binary evaluation needs both classes in the test split; it has "
+                f"{n_pos} positive and {len(test_samples) - n_pos} negative samples")
     model.ensure_task_head(task, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     if task == "binary" and (upsample if upsample is not None else True):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unittab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from unittab.data import PollutionConfig, gen_pollution_like
 from unittab.embedding import prepare_series
-from unittab.model import Model, ModelConfig
+from unittab.metrics import UndefinedMetricError
+from unittab.model import Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets
 from unittab.tensor import NumericError, Tensor
 from unittab.training import (
     AdamW, ConfigError, LabelError, TrainConfig, apply_masking, finetune,
@@ -70,6 +73,31 @@ def test_smooth_neighborhood_radius0_all_mass_at_bin():
     assert p[3] == 1.0 and p.sum() == 1.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(1, 120), eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       radius=st.one_of(st.just(0), st.integers(0, 130)),
+       raw=st.lists(st.integers(0, 2**31), max_size=16))
+@example(q=1, eps=0.1, radius=5, raw=[0])
+@example(q=9, eps=0.0, radius=0, raw=[4])
+@example(q=100, eps=0.1, radius=5, raw=[2, 97, 50])
+def test_batch_smoothing_matches_scalar_reference_bitwise(q, eps, radius, raw):
+    labels = [r % q for r in raw] + [0, q - 1]  # boundary bins always present
+    arr = np.asarray(labels, dtype=np.int64)
+    want_cat = np.stack([smooth_categorical(v, q, eps) for v in labels])
+    want_bin = np.stack([smooth_neighborhood(v, q, eps, radius) for v in labels])
+    got_cat = smoothed_class_targets(arr, q, eps)
+    got_bin = smoothed_bin_targets(arr, q, eps, radius)
+    assert got_cat.shape == want_cat.shape and got_cat.tobytes() == want_cat.tobytes()
+    assert got_bin.shape == want_bin.shape and got_bin.tobytes() == want_bin.tobytes()
+
+
+def test_batch_smoothing_rejects_out_of_range_labels():
+    with pytest.raises(ValueError):
+        smoothed_class_targets(np.array([0, 5]), 5, 0.1)
+    with pytest.raises(ValueError):
+        smoothed_bin_targets(np.array([-1]), 10, 0.1, 2)
+
+
 # -- masking
 
 
@@ -91,7 +119,7 @@ def test_apply_masking_none():
     cfg = TrainConfig(p_f=0.0, p_r=0.0)
     out = apply_masking(enc, expanded, cfg, np.random.default_rng(0))
     assert not any(m.any() for m in out.mask)
-    assert out.targets == []
+    assert out.targets.shape == (0, 2)
 
 
 def test_apply_masking_timestamp_atomicity():
@@ -126,15 +154,21 @@ def test_apply_masking_rate():
 def test_apply_masking_targets_are_distributions():
     expanded, enc = encoded_fixture()
     cfg = TrainConfig(p_f=0.7, p_r=0.2)
-    rng = np.random.default_rng(3)
-    out = apply_masking(enc, expanded, cfg, rng)
-    assert out.targets
-    for tg in out.targets:
-        assert abs(tg.dist.sum() - 1.0) < 1e-9
-        spec = expanded.attributes[tg.attr]
-        if spec.kind == "numerical":
-            assert tg.scalar is not None and 0.0 <= tg.scalar <= 1.0
-            assert np.count_nonzero(tg.dist) <= 2 * cfg.neighborhood_radius + 1
+    out = apply_masking(enc, expanded, cfg, np.random.default_rng(3))
+    assert len(out.targets)
+    # the batch forward turns target positions into smoothed distributions
+    config = ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1, seq_heads=2,
+                         freq_count=2, t_max=6, dropout=0.0)
+    groups = Model(config, expanded, seed=0).pretrain_forward([out], training=False).cat_groups
+    assert sum(len(d) for _, _, d in groups) == len(out.targets)
+    for attr, _, dists in groups:
+        assert np.all(np.abs(dists.sum(axis=1) - 1.0) < 1e-9)
+        if expanded.attributes[attr].kind == "numerical":
+            assert np.all(np.count_nonzero(dists, axis=1) <= 2 * cfg.neighborhood_radius + 1)
+    # regression mode: scalar targets in [0, 1] for every numerical target
+    scalar = Model(ModelConfig(**{**config.to_dict(), "numeric_target": "scalar"}), expanded, seed=0)
+    reg = scalar.pretrain_forward([out], training=False).reg_groups
+    assert reg and all(np.all((0.0 <= s) & (s <= 1.0)) for _, _, s in reg)
 
 
 def test_apply_masking_variant_keeps_targets():
@@ -145,6 +179,53 @@ def test_apply_masking_variant_keeps_targets():
     # predicted positions cover every field even when inputs keep/replace
     assert len(out.targets) == sum(len(m) for m in out.mask)
     assert any(not m.all() for m in out.mask)  # some keep/replace happened
+
+
+def test_apply_masking_bert_split_rates():
+    ds = gen_pollution_like(PollutionConfig(n_entities=2, rows_per_entity=10, q_bins=20), 8)
+    expanded, encoded = prepare_series(ds.series, ds.schema)
+    enc = encoded[0]
+    cfg = TrainConfig(p_f=1.0, p_r=0.0, mask_variant="bert_80_10_10")
+    rng = np.random.default_rng(9)
+    numerical = np.array([expanded.attributes[n].kind == "numerical"
+                          for n in expanded.row_types[0].attributes])
+    kept = total = num_swapped = num_same = num_total = 0
+    for _ in range(400):
+        out = apply_masking(enc, expanded, cfg, rng)
+        source = out.source if out.source is not None else out.rows
+        assert all(a is b for a, b in zip(source, enc.rows))  # source rows untouched
+        for (i, f) in out.targets.tolist():
+            total += 1
+            kept += bool(out.mask[i][f])
+            if numerical[f]:
+                num_total += 1
+                if not out.mask[i][f]:
+                    changed = out.rows[i].num_vals[f] != enc.rows[i].num_vals[f]
+                    num_swapped += changed
+                    num_same += not changed
+    assert abs(kept / total - 0.8) < 0.01
+    assert abs(num_swapped / num_total - 0.1) < 0.015
+    assert abs(num_same / num_total - 0.1) < 0.015
+
+
+def test_apply_masking_bert_targets_keep_source_values():
+    expanded, enc = encoded_fixture()
+    color = expanded.row_types[0].attributes.index("color")
+    config = ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1, seq_heads=2,
+                         freq_count=2, t_max=6, dropout=0.0)
+    model = Model(config, expanded, seed=0)
+    cfg = TrainConfig(p_f=1.0, p_r=0.0, mask_variant="bert_80_10_10")
+    rng = np.random.default_rng(6)
+    truth = [int(r.cat_ids[color]) for r in enc.rows]
+    for _ in range(200):
+        out = apply_masking(enc, expanded, cfg, rng)
+        if [int(r.cat_ids[color]) for r in out.rows] != truth:
+            break
+    else:
+        pytest.fail("no color value was replaced")
+    assert out.source is not None
+    groups = {a: d for a, _, d in model.pretrain_forward([out], training=False).cat_groups}
+    assert groups["color"].argmax(axis=1).tolist() == truth
 
 
 def test_apply_masking_does_not_mutate_source():
@@ -359,6 +440,25 @@ def test_finetune_binary_smoke():
     result = finetune(encoded[:6], encoded[6:], model, "binary", cfg)
     assert set(result.report.metrics) == {"f1", "average_precision", "roc_auc", "accuracy"}
     assert result.report.confusion is not None
+
+
+@pytest.mark.parametrize("test_labels", [[], [1, 1, 1], [0, 0]])
+def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_path):
+    expanded, encoded = labeled_encoded()
+    model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
+                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
+                  expanded, seed=0)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    test = encoded[6:6 + len(test_labels)]
+    for s, y in zip(test, test_labels):
+        s.label = y
+    log = tmp_path / "metrics.ndjson"
+    with pytest.raises(UndefinedMetricError, match="both classes"):
+        finetune(encoded[:6], test, model, "binary", TrainConfig(epochs=2, batch_size=4),
+                 metrics_path=log)
+    assert not log.exists()  # no step ran, so nothing was logged
+    assert model.params.keys() == before.keys()  # no task head was added
+    assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
 
 
 def test_finetune_freeze_backbone_leaves_backbone_params():
