@@ -4,6 +4,14 @@ class balancing, and synthetic generators for desk-scale experiments.
 Generators are pure functions of (config, seed); per-entity streams are
 derived with numpy SeedSequence([seed, entity_index]) so entities can be
 generated independently or in parallel with identical results.
+
+`read_csv` plans its columns once: the header is mapped to column indices,
+and each row type gets a plan of (cell reader, column) pairs, found by the
+raw row-type cell. Categorical and timestamp cells are parsed once per
+distinct cell string: a per-attribute cache shares one frozen `Cat`/`Time`
+per string, and `vocab_index` looks categories up in the vocabulary dict
+kept on the spec (`AttributeSpec.vocab_ids`). Numeric cells, mostly distinct,
+are parsed every time. The caches live for one call.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import call
 from pathlib import Path
 
 import numpy as np
@@ -148,77 +157,139 @@ def _format_time(ts: Time) -> str:
     return f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:00:00"
 
 
+class _CellCache(dict):
+    """Parsed value per distinct raw cell of one categorical or timestamp
+    attribute. A cell that reads as Missing is counted in the report on
+    every occurrence and never stored, so the counts stay per cell."""
+
+    def __init__(self, name: str, parse, report: ParseReport):
+        super().__init__()
+        self.name, self.parse, self.report = name, parse, report
+
+    def __missing__(self, cell):
+        text = (cell or "").strip()
+        if not text:
+            self.report.missing[self.name] += 1
+            return Missing
+        try:
+            value = self.parse(text)
+        except ValueError:
+            self.report.unparseable[self.name] += 1
+            return Missing
+        self[cell] = value
+        return value
+
+
+def _numeric_reader(name: str, report: ParseReport):
+    """Parse one numeric cell; empty, unparseable and non-finite cells read
+    as Missing and are counted. Numeric cells are mostly distinct, so they
+    are not cached."""
+    missing, unparseable = report.missing, report.unparseable
+
+    def read(cell):
+        try:
+            x = float(cell)
+        except (TypeError, ValueError):
+            if (cell or "").strip():
+                unparseable[name] += 1
+            else:
+                missing[name] += 1
+            return Missing
+        if math.isfinite(x):
+            return Num(x)
+        unparseable[name] += 1
+        return Missing
+
+    return read
+
+
+def _cell_reader(spec: AttributeSpec, report: ParseReport):
+    """A callable raw cell -> field value for one attribute of one call."""
+    if spec.kind == NUMERICAL:
+        return _numeric_reader(spec.name, report)
+    if spec.kind == CATEGORICAL:
+        return _CellCache(spec.name, lambda text: Cat(vocab_index(spec, text)), report).__getitem__
+    return _CellCache(spec.name, _parse_iso_time, report).__getitem__
+
+
+def _time_key(values: list, ts_slots: list[int]) -> tuple[int, int, int, int] | None:
+    """Sort key of a row's last timestamp value (`ts_slots` runs last to
+    first); None when the row has none."""
+    for i in ts_slots:
+        v = values[i]
+        if v is not Missing:
+            return (v.year, v.month, v.day, -1 if v.hour is None else v.hour)
+    return None
+
+
 def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[TimeSeries], ParseReport]:
     """Parse a header CSV into per-entity series sorted by timestamp.
 
-    Unparseable cells become Missing and are counted in the report; a column
-    whose applicable cells are >50% unparseable is a format error.
+    Entities come out in order of first appearance. A series is sorted
+    (stably) on each row's last timestamp value when every row has one and
+    keeps file order otherwise. Blank lines are skipped and short rows read
+    as empty cells. Empty, unparseable and non-finite cells become Missing
+    and are counted in the report; a column whose applicable cells are >50%
+    unparseable is a format error.
     """
     report = ParseReport()
-    applicable: Counter = Counter()
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        if csv_spec.entity_column not in header:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}  # last wins, as in DictReader
+        if csv_spec.entity_column not in column:
             raise FormatError(f"missing entity column {csv_spec.entity_column!r}")
         for name in schema.attributes:
-            if name not in header:
+            if name not in column:
                 raise FormatError(f"schema attribute {name!r} not found in CSV header")
         multi_type = schema.n_row_types > 1
-        if multi_type and (csv_spec.type_column is None or csv_spec.type_column not in header):
+        if multi_type and (csv_spec.type_column is None or csv_spec.type_column not in column):
             raise FormatError(f"missing row type column {csv_spec.type_column!r}")
-        by_entity: dict[str, list[Row]] = {}
+        entity_col = column[csv_spec.entity_column]
+        type_col = column.get(csv_spec.type_column) if csv_spec.type_column else None
+        width = len(header)
+        readers = {name: _cell_reader(spec, report) for name, spec in schema.attributes.items()}
+        plans: dict = {}  # type cell -> (type id, cell readers, column indices)
+        type_rows = [0] * (schema.n_row_types + 1)
+        by_entity: dict[str, list[Row]] = defaultdict(list)
         for rec in reader:
-            report.rows += 1
-            entity = rec[csv_spec.entity_column]
-            if csv_spec.type_column and csv_spec.type_column in rec:
-                try:
-                    type_id = int(rec[csv_spec.type_column])
-                except (TypeError, ValueError):
-                    raise FormatError(f"bad row type value {rec.get(csv_spec.type_column)!r}")
-            else:
-                type_id = 1
-            rt = schema.row_type(type_id)
-            values = []
-            for name in rt.attributes:
-                spec = schema.attributes[name]
-                cell = (rec.get(name) or "").strip()
-                applicable[name] += 1
-                if cell == "":
-                    report.missing[name] += 1
-                    values.append(Missing)
+            if len(rec) < width:
+                if not rec:
                     continue
-                if spec.kind == CATEGORICAL:
-                    values.append(Cat(vocab_index(spec, cell)))
-                elif spec.kind == NUMERICAL:
-                    try:
-                        values.append(Num(float(cell)))
-                    except ValueError:
-                        report.unparseable[name] += 1
-                        values.append(Missing)
+                rec += [None] * (width - len(rec))
+            report.rows += 1
+            type_cell = None if type_col is None else rec[type_col]
+            plan = plans.get(type_cell)
+            if plan is None:
+                if type_col is None:
+                    type_id = 1
                 else:
                     try:
-                        values.append(_parse_iso_time(cell))
-                    except ValueError:
-                        report.unparseable[name] += 1
-                        values.append(Missing)
-            by_entity.setdefault(entity, []).append(Row(type_id, values))
+                        type_id = int(type_cell)
+                    except (TypeError, ValueError):
+                        raise FormatError(f"bad row type value {type_cell!r}")
+                rt = schema.row_type(type_id)
+                plan = plans[type_cell] = (type_id, [readers[a] for a in rt.attributes],
+                                           [column[a] for a in rt.attributes])
+            type_id, cell_readers, cols = plan
+            type_rows[type_id] += 1
+            by_entity[rec[entity_col]].append(
+                Row(type_id, list(map(call, cell_readers, map(rec.__getitem__, cols)))))
+    applicable: Counter = Counter()
+    for rt in schema.row_types:
+        for name in rt.attributes:
+            applicable[name] += type_rows[rt.type_id]
     for name, bad in report.unparseable.items():
         if bad > 0.5 * applicable[name]:
             raise FormatError(f"column {name!r}: {bad}/{applicable[name]} cells unparseable")
-    ts_attrs = {n for n, a in schema.attributes.items() if a.kind == TIMESTAMP}
+    ts_slots = {rt.type_id: [i for i, a in enumerate(rt.attributes)
+                             if schema.attributes[a].kind == TIMESTAMP][::-1]
+                for rt in schema.row_types}
     out = []
     for entity, rows in by_entity.items():
-        keys = []
-        for row in rows:
-            rt = schema.row_type(row.type_id)
-            key = None
-            for name, v in zip(rt.attributes, row.values):
-                if name in ts_attrs and isinstance(v, Time):
-                    key = (v.year, v.month, v.day, -1 if v.hour is None else v.hour)
-            keys.append(key)
-        if ts_attrs and all(k is not None for k in keys):
-            order = sorted(range(len(rows)), key=lambda i: keys[i])
+        keys = [_time_key(row.values, ts_slots[row.type_id]) for row in rows]
+        if None not in keys:
+            order = sorted(range(len(rows)), key=keys.__getitem__)
             rows = [rows[i] for i in order]
         out.append(TimeSeries(entity, rows))
     return out, report

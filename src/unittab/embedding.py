@@ -7,18 +7,26 @@ and linearly projected to the field width d. Timestamps are split into
 categorical subfields (year/month/day and hour when present) before any of
 this happens. Masked positions use a single shared [MASK] vector; missing
 values a shared [MISSING] vector.
+
+`prepare_series` encodes raw rows without building expanded ones: the rows
+of each row type are stacked into one int64 id matrix, one float64 value
+matrix and one bool missing matrix, filled a column at a time, and each
+`EncodedRow` holds row views of its type's matrices. Timestamp subfield ids
+come from `split_timestamp` once per distinct `Time` value; that cache lives
+for one call.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .schema import (
     CATEGORICAL, NUMERICAL, TIMESTAMP, OOV,
-    AttributeSpec, Cat, Missing, Num, Row, Schema, SchemaError, Time, TimeSeries,
+    AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, SchemaError, Time, TimeSeries,
     default_special_tokens, quantize_array,
 )
 from .tensor import Tensor, concat, embedding_gather, matmul, reshape
@@ -153,34 +161,84 @@ class EncodedSeries:
     label: float | int | None = None
 
 
-def encode_row(row: Row, schema: Schema) -> EncodedRow:
-    rt = schema.row_type(row.type_id)
-    k = rt.arity
-    ids = np.full(k, -1, dtype=np.int64)
-    vals = np.full(k, np.nan, dtype=np.float64)
-    miss = np.zeros(k, dtype=bool)
-    for s, (name, v) in enumerate(zip(rt.attributes, row.values)):
-        if v is Missing:
-            miss[s] = True
-        elif isinstance(v, Cat):
-            ids[s] = v.index
-        elif isinstance(v, Num):
-            vals[s] = v.value
+class _TimeCodes(dict):
+    """Maps each distinct timestamp value of one attribute to its row in
+    `table`, which holds its subfield ids from split_timestamp; Missing
+    maps to row 0 (all -1)."""
+
+    def __init__(self, spec: AttributeSpec):
+        super().__init__()
+        self.spec = spec
+        self.table = [(-1,) * (4 if spec.with_hour else 3)]
+        self[Missing] = 0
+
+    def __missing__(self, ts):
+        code = self[ts] = len(self.table)
+        self.table.append(tuple(c.index for c in split_timestamp(ts, self.spec.years,
+                                                                self.spec.with_hour)))
+        return code
+
+
+def _encode_rows(rows: list[Row], rt: RowTypeSpec, raw_schema: Schema, k: int,
+                 time_codes: dict[str, _TimeCodes]) -> list[EncodedRow]:
+    """Encode the raw rows of one row type into (n, k) id, value and
+    missing matrices, column by column; each EncodedRow holds row views."""
+    n = len(rows)
+    values = [r.values for r in rows]
+    if set(map(len, values)) - {rt.arity}:
+        raise SchemaError(f"row type {rt.type_id} rows must have {rt.arity} values")
+    ids = np.full((n, k), -1, dtype=np.int64)
+    vals = np.full((n, k), np.nan, dtype=np.float64)
+    miss = np.zeros((n, k), dtype=bool)
+    s = 0
+    for name, col in zip(rt.attributes, zip(*values)):
+        spec = raw_schema.attributes[name]
+        kinds = set(map(type, col))
+        if spec.kind == TIMESTAMP:
+            codes = time_codes[name]
+            rows_of = [codes[v] for v in col]
+            width = len(codes.table[0])
+            ids[:, s:s + width] = np.array(codes.table, dtype=np.int64)[rows_of]
+            if type(Missing) in kinds:
+                miss[:, s:s + width] = np.array([v is Missing for v in col])[:, None]
+            s += width
+            continue
+        if kinds == {Cat}:
+            ids[:, s] = [v.index for v in col]
+        elif kinds == {Num}:
+            vals[:, s] = [v.value for v in col]
         else:
-            raise SchemaError(f"row contains unexpanded timestamp at field {name!r}")
-    return EncodedRow(row.type_id, ids, vals, miss)
-
-
-def encode_series(series: TimeSeries, schema: Schema) -> EncodedSeries:
-    return EncodedSeries(series.entity_id, [encode_row(r, schema) for r in series.rows],
-                         series.label)
+            for r, v in enumerate(col):
+                if v is Missing:
+                    miss[r, s] = True
+                elif isinstance(v, Cat):
+                    ids[r, s] = v.index
+                elif isinstance(v, Num):
+                    vals[r, s] = v.value
+                else:
+                    raise SchemaError(f"row contains unexpanded timestamp at field {name!r}")
+        s += 1
+    return list(map(EncodedRow, repeat(rt.type_id, n), ids, vals, miss))
 
 
 def prepare_series(series_list: list[TimeSeries], raw_schema: Schema
                    ) -> tuple[Schema, list[EncodedSeries]]:
-    """Expand timestamps and encode a whole dataset in one step."""
+    """Expand timestamps and encode a whole dataset in one step: the rows
+    of each row type are encoded together (see _encode_rows) and handed
+    back to their series in order."""
     expanded = expand_schema(raw_schema)
-    encoded = [encode_series(expand_series(s, raw_schema), expanded) for s in series_list]
+    by_type: dict[int, list[Row]] = {}
+    for s in series_list:
+        for r in s.rows:
+            by_type.setdefault(r.type_id, []).append(r)
+    time_codes = {name: _TimeCodes(spec) for name, spec in raw_schema.attributes.items()
+                  if spec.kind == TIMESTAMP}
+    encoded_rows = {h: iter(_encode_rows(rows, raw_schema.row_type(h), raw_schema,
+                                         expanded.row_type(h).arity, time_codes))
+                    for h, rows in by_type.items()}
+    encoded = [EncodedSeries(s.entity_id, [next(encoded_rows[r.type_id]) for r in s.rows],
+                             s.label)
+               for s in series_list]
     return expanded, encoded
 
 

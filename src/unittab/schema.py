@@ -101,6 +101,12 @@ class AttributeSpec:
         if self.value_range is not None and self.value_range[0] > self.value_range[1]:
             raise SchemaError(f"{self.name}: value_range min > max")
 
+    @functools.cached_property
+    def vocab_ids(self) -> dict[str, int]:
+        """Category -> vocabulary index, built on first use and kept on this
+        spec (a fitted spec is not mutated)."""
+        return {v: i for i, v in enumerate(self.vocab)}
+
     @property
     def n_bins(self) -> int:
         return len(self.bin_edges) - 1
@@ -340,10 +346,7 @@ def fit_vocab(values, min_count: int = 1) -> list[str]:
 
 def vocab_index(spec: AttributeSpec, value: str) -> int:
     """Index of a category; unseen values map to the OOV slot."""
-    try:
-        return spec.vocab.index(value)
-    except ValueError:
-        return len(spec.vocab) - 1
+    return spec.vocab_ids.get(value, len(spec.vocab) - 1)
 
 
 def fit_schema(series_list: list[TimeSeries], schema: Schema, q: int = 100) -> Schema:

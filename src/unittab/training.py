@@ -467,12 +467,16 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
         raise ConfigError(f"unknown task {task!r}")
     if any(s.label is None for s in train_samples) or any(s.label is None for s in test_samples):
         raise LabelError(f"{task} fine-tuning needs a label on every sample")
+    if not train_samples:
+        raise LabelError(f"{task} fine-tuning needs a nonempty training split")
     if task == "binary":
         n_pos = sum(1 for s in test_samples if int(s.label) == 1)
         if n_pos in (0, len(test_samples)):
             raise UndefinedMetricError(
                 f"binary evaluation needs both classes in the test split; it has "
                 f"{n_pos} positive and {len(test_samples) - n_pos} negative samples")
+    elif not test_samples:
+        raise UndefinedMetricError("regression evaluation needs a nonempty test split")
     model.ensure_task_head(task, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     if task == "binary" and (upsample if upsample is not None else True):

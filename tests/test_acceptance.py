@@ -8,6 +8,7 @@ tolerance is pinned here. Run with `pytest tests/test_acceptance.py -v -s`.
 import time
 
 import numpy as np
+import pytest
 from unittab.checkpoint import load_checkpoint
 from unittab.data import (
     MultitypeConfig, PollutionConfig, flatten_to_single_type,
@@ -176,6 +177,7 @@ def _pollution_run(seed, numeric_input, loss_mode):
     return finetune(train_w, test_w, model, "regression", ft_cfg).report.metrics["rmse"]
 
 
+@pytest.mark.slow
 def test_criterion_07_directional_ablation():
     t0 = time.time()
     freq_wins = ce_wins = 0
@@ -219,6 +221,7 @@ def _churn_run(seed, flattened=False):
     return res.report.metrics["roc_auc"], np.array([s.label for s in test_s])
 
 
+@pytest.mark.slow
 def test_criterion_08_multi_row_type_capability():
     t0 = time.time()
     aucs = []

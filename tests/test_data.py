@@ -212,6 +212,32 @@ def test_csv_mostly_unparseable_column_rejected(tmp_path):
     assert "amount" in str(exc.value)
 
 
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf"])
+def test_csv_non_finite_numeric_cell_is_unparseable(spelling, tmp_path):
+    schema = make_tiny_schema()
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "entity_id,row_type,amount,color,timestamp\n"
+        f"a,1,{spelling},red,2021-01-01\n"
+        "a,1,1.0,red,2021-01-02\n"
+        "a,1,2.0,red,2021-01-03\n")
+    back, report = read_csv(path, schema)
+    assert back[0].rows[0].values[2] is Missing
+    assert report.unparseable["amount"] == 1 and report.missing["amount"] == 0
+    assert validate(back[0], schema) == []
+
+
+def test_csv_mostly_nan_column_rejected(tmp_path):
+    schema = make_tiny_schema()
+    path = tmp_path / "data.csv"
+    lines = ["entity_id,row_type,amount,color,timestamp"]
+    lines += [f"a,1,nan,red,2021-01-0{i + 1}" for i in range(3)]
+    lines.append("a,1,1.0,red,2021-01-05")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="amount.*3/4"):
+        read_csv(path, schema)
+
+
 def test_csv_groups_sorted_by_timestamp(tmp_path):
     schema = make_tiny_schema()
     path = tmp_path / "data.csv"

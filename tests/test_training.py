@@ -461,6 +461,27 @@ def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_p
     assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
 
 
+@pytest.mark.parametrize("task, n_train, n_test, error, message", [
+    ("binary", 0, 2, LabelError, "nonempty training split"),
+    ("regression", 0, 2, LabelError, "nonempty training split"),
+    ("regression", 6, 0, UndefinedMetricError, "nonempty test split"),
+])
+def test_finetune_empty_split_fails_before_training(task, n_train, n_test, error, message,
+                                                     tmp_path):
+    expanded, encoded = labeled_encoded()
+    model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
+                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
+                  expanded, seed=0)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    log = tmp_path / "metrics.ndjson"
+    with pytest.raises(error, match=message):
+        finetune(encoded[:n_train], encoded[6:6 + n_test], model, task,
+                 TrainConfig(epochs=2, batch_size=4), metrics_path=log)
+    assert not log.exists()  # no step ran, so nothing was logged
+    assert model.params.keys() == before.keys()  # no task head was added
+    assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
+
+
 def test_finetune_freeze_backbone_leaves_backbone_params():
     expanded, encoded = labeled_encoded()
     model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
