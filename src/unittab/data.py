@@ -22,7 +22,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from operator import call
 from pathlib import Path
 
 import numpy as np
@@ -274,7 +273,7 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
             type_id, cell_readers, cols = plan
             type_rows[type_id] += 1
             by_entity[rec[entity_col]].append(
-                Row(type_id, list(map(call, cell_readers, map(rec.__getitem__, cols)))))
+                Row(type_id, [read(rec[c]) for read, c in zip(cell_readers, cols)]))
     applicable: Counter = Counter()
     for rt in schema.row_types:
         for name in rt.attributes:

@@ -203,20 +203,14 @@ def _encode_rows(rows: list[Row], rt: RowTypeSpec, raw_schema: Schema, k: int,
                 miss[:, s:s + width] = np.array([v is Missing for v in col])[:, None]
             s += width
             continue
-        if kinds == {Cat}:
-            ids[:, s] = [v.index for v in col]
-        elif kinds == {Num}:
-            vals[:, s] = [v.value for v in col]
-        else:
-            for r, v in enumerate(col):
-                if v is Missing:
-                    miss[r, s] = True
-                elif isinstance(v, Cat):
-                    ids[r, s] = v.index
-                elif isinstance(v, Num):
-                    vals[r, s] = v.value
-                else:
-                    raise SchemaError(f"row contains unexpanded timestamp at field {name!r}")
+        if kinds - {Cat, Num, type(Missing)}:
+            raise SchemaError(f"row contains unexpanded timestamp at field {name!r}")
+        if type(Missing) in kinds:
+            miss[:, s] = [v is Missing for v in col]
+        if Cat in kinds:
+            ids[:, s] = [v.index if type(v) is Cat else -1 for v in col]
+        if Num in kinds:
+            vals[:, s] = [v.value if type(v) is Num else np.nan for v in col]
         s += 1
     return list(map(EncodedRow, repeat(rt.type_id, n), ids, vals, miss))
 
