@@ -26,7 +26,7 @@ print(f"{len(ds.series)} series x {len(ds.series[0].rows)} rows, "
       f"{len(ds.schema.attributes)} attributes, "
       f"violations: {sum(len(validate(s, ds.schema)) for s in ds.series)}")
 
-wins = labeled_windows(ds, t=10, stride=10)
+wins = labeled_windows(ds.series, ds.row_targets, t=10, stride=10)
 preds = [pollution_oracle(w.rows, ds.schema) for w in wins]
 print(f"{len(wins)} stride-10 windows; oracle RMSE at noise=0: "
       f"{rmse(preds, [w.label for w in wins]):.2e}")

@@ -8,15 +8,15 @@ entropy over smoothed targets (neighborhood smoothing for quantized
 numerical bins).
 """
 
-from .tensor import Tensor, GradTape, grad_check, set_default_dtype
+from .tensor import Tensor, GradTape, grad_check
 from .schema import (
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, Time, TimeSeries,
     fit_bins, fit_schema, fit_vocab, quantize, schema_from_json, schema_hash,
     schema_to_json, validate,
 )
 from .embedding import (
-    EmbeddingBank, embed_field, embed_row, expand_schema, expand_series,
-    freq_encode, prepare_series, split_timestamp,
+    EmbeddingBank, expand_schema, expand_series, freq_encode, prepare_series,
+    split_timestamp,
 )
 from .data import (
     CsvSpec, DatasetSplit, MultitypeConfig, PollutionConfig, WindowedSample,

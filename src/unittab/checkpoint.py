@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,16 @@ def _collect_tensors(model: Model, optimizer) -> dict[str, np.ndarray]:
             tensors[f"opt.m.{name}"] = optimizer.m[name]
             tensors[f"opt.v.{name}"] = optimizer.v[name]
     return tensors
+
+
+def _config_from(cls, d: dict, what: str):
+    """cls.from_dict(d), refusing keys that cls no longer has (options a
+    later version removed) by name."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(f"checkpoint {what} has unknown key(s) "
+                              f"{', '.join(map(repr, unknown))}; refusing to load")
+    return cls.from_dict(d)
 
 
 def save_checkpoint(path, model: Model, optimizer, train_cfg, rng, step: int) -> None:
@@ -113,7 +123,7 @@ def load_checkpoint(path, schema: Schema) -> CheckpointState:
         raw = payload[e["offset"]:e["offset"] + e["numel"] * 8]
         arrays[e["name"]] = np.frombuffer(raw, dtype="<f8").reshape(e["shape"]).copy()
 
-    config = ModelConfig.from_dict(manifest["model_config"])
+    config = _config_from(ModelConfig, manifest["model_config"], "model config")
     model = Model(config, schema, seed=0)
     for name, p in model.params.items():
         if name not in arrays:
@@ -122,7 +132,7 @@ def load_checkpoint(path, schema: Schema) -> CheckpointState:
             raise CheckpointError(f"tensor {name!r} shape mismatch")
         p.data = arrays[name]
 
-    train_cfg = (TrainConfig.from_dict(manifest["train_config"])
+    train_cfg = (_config_from(TrainConfig, manifest["train_config"], "train config")
                  if manifest["train_config"] is not None else TrainConfig())
     opt = AdamW(model.params, lr=train_cfg.lr, betas=train_cfg.betas,
                 weight_decay=train_cfg.weight_decay, no_decay=model.no_decay)

@@ -19,8 +19,8 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     CsvSpec, MultitypeConfig, PollutionConfig, export_dataset,
-    gen_multitype_transactions, gen_pollution_like, last_crop, read_csv,
-    split_by_entity, window,
+    gen_multitype_transactions, gen_pollution_like, labeled_windows, last_crop,
+    read_csv, split_by_entity,
 )
 from .embedding import prepare_series
 from .metrics import format_report_table
@@ -96,42 +96,46 @@ def _load_dataset(data_dir):
     return schema, series, manifest, labels, targets
 
 
-def _task_samples(cfg: dict, model_t_max: int, schema, series, manifest, labels, targets):
-    """Fine-tuning protocol per generator kind: randomly split sliding
-    windows (non-overlapping by stride) with a regression target for
-    pollution-like data, by-entity splits of last-t_max crops with the
-    entity churn label for multitype transactions."""
-    kind = manifest.get("kind", "multitype_transactions" if labels else "pollution_like")
+def _load_task(cfg: dict):
+    """Load the run's dataset and checkpoint, encode the dataset once and
+    split it by the fine-tuning protocol of its generator kind: randomly
+    split sliding windows (non-overlapping by stride) with a regression
+    target for pollution-like data, by-entity splits of last-t_max crops
+    with the entity churn label for multitype transactions. Returns
+    (model, train samples, test samples, task)."""
     data_cfg = cfg["data"]
+    ckpt_path = data_cfg.get("checkpoint")
+    if not ckpt_path or not Path(ckpt_path).exists():
+        raise UsageError(f"checkpoint {ckpt_path!r} not found")
+    schema, series, manifest, labels, targets = _load_dataset(data_cfg.get("dir"))
+    expanded, encoded = prepare_series(series, schema)
+    model = load_checkpoint(ckpt_path, expanded).model
+    t_max = model.config.t_max
+    kind = manifest.get("kind", "multitype_transactions" if labels else "pollution_like")
     split_seed = int(data_cfg.get("split_seed", cfg["train"].get("seed", 0)))
     test_fraction = float(data_cfg.get("test_fraction", 0.25))
-    expanded, encoded = prepare_series(series, schema)
     if kind == "pollution_like":
         if targets is None:
             raise UsageError("pollution-like fine-tuning needs targets.json next to data.csv")
         t = int(data_cfg.get("window_t", 10))
         stride = int(data_cfg.get("window_stride", 10))
-        if t > model_t_max:
-            raise UsageError(f"window_t={t} exceeds the model's t_max={model_t_max}")
-        wins = []
-        for s in encoded:
-            for w in window(s, t, stride):
-                w.label = float(targets[s.entity_id][w.start + t - 1])
-                wins.append(w)
+        if t > t_max:
+            raise UsageError(f"window_t={t} exceeds the model's t_max={t_max}")
+        wins = labeled_windows(encoded, targets, t, stride)
         rng = np.random.default_rng(np.random.SeedSequence([split_seed]))
         order = rng.permutation(len(wins))
         n_test = int(round(test_fraction * len(wins)))
         test_w = [wins[i] for i in order[:n_test]]
         train_w = [wins[i] for i in order[n_test:]]
-        return train_w, test_w, "regression", expanded
+        return model, train_w, test_w, "regression"
     if labels is None:
         raise UsageError("binary fine-tuning needs labels.json next to data.csv")
     for s in encoded:
         s.label = int(labels[s.entity_id])
     split = split_by_entity(encoded, test_fraction, split_seed)
-    train = [last_crop(s, model_t_max) for s in split.train]
-    test = [last_crop(s, model_t_max) for s in split.test]
-    return train, test, "binary", expanded
+    train = [last_crop(s, t_max) for s in split.train]
+    test = [last_crop(s, t_max) for s in split.test]
+    return model, train, test, "binary"
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +201,7 @@ def cmd_finetune(args) -> int:
                                         "dir": args.data, "checkpoint": args.checkpoint})
     out = Path(cfg["out_dir"])
     _write_resolved(cfg, out)
-    ckpt_path = cfg["data"].get("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).exists():
-        raise UsageError(f"checkpoint {ckpt_path!r} not found")
-    schema, series, manifest, labels, targets = _load_dataset(cfg["data"].get("dir"))
-    expanded, _ = prepare_series(series, schema)
-    state = load_checkpoint(ckpt_path, expanded)
-    model = state.model
-    train, test, task, _ = _task_samples(cfg, model.config.t_max, schema, series,
-                                         manifest, labels, targets)
+    model, train, test, task = _load_task(cfg)
     train_cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), **cfg["train"]})
     result = finetune(train, test, model, task, train_cfg,
                       metrics_path=out / "finetune_metrics.ndjson")
@@ -219,15 +215,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, {"out_dir": args.out, "dir": args.data,
                                         "checkpoint": args.checkpoint})
-    ckpt_path = cfg["data"].get("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).exists():
-        raise UsageError(f"checkpoint {ckpt_path!r} not found")
-    schema, series, manifest, labels, targets = _load_dataset(cfg["data"].get("dir"))
-    expanded, _ = prepare_series(series, schema)
-    state = load_checkpoint(ckpt_path, expanded)
-    model = state.model
-    _, test, task, _ = _task_samples(cfg, model.config.t_max, schema, series,
-                                     manifest, labels, targets)
+    model, _, test, task = _load_task(cfg)
     report = evaluate(model, test, task)
     print(format_report_table({"checkpoint": report}))
     if args.out:

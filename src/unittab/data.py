@@ -227,8 +227,9 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
     Entities come out in order of first appearance. A series is sorted
     (stably) on each row's last timestamp value when every row has one and
     keeps file order otherwise. Blank lines are skipped and short rows read
-    as empty cells. Empty, unparseable and non-finite cells become Missing
-    and are counted in the report; a column whose applicable cells are >50%
+    as empty cells. A row without an entity id is a format error. Empty,
+    unparseable and non-finite attribute cells become Missing and are
+    counted in the report; a column whose applicable cells are >50%
     unparseable is a format error.
     """
     report = ParseReport()
@@ -271,6 +272,9 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
                 plan = plans[type_cell] = (type_id, [readers[a] for a in rt.attributes],
                                            [column[a] for a in rt.attributes])
             type_id, cell_readers, cols = plan
+            if not rec[entity_col]:
+                raise FormatError(f"data row {report.rows} (line {reader.line_num}) has no "
+                                  f"{csv_spec.entity_column!r} value")
             type_rows[type_id] += 1
             by_entity[rec[entity_col]].append(
                 Row(type_id, [read(rec[c]) for read, c in zip(cell_readers, cols)]))
@@ -381,9 +385,6 @@ class PollutionDataset:
     row_targets: dict[str, np.ndarray]
     config: PollutionConfig
 
-    def window_label(self, sample: WindowedSample, t: int) -> float:
-        return float(self.row_targets[sample.source_entity][sample.start + t - 1])
-
 
 def pollution_oracle(rows: list[Row], schema: Schema) -> float:
     """The noise-free target: a sinusoid of the last temperature plus a
@@ -470,12 +471,14 @@ def gen_pollution_like(config: PollutionConfig, rng) -> PollutionDataset:
     return PollutionDataset(series, schema, row_targets, config)
 
 
-def labeled_windows(ds: PollutionDataset, t: int, stride: int) -> list[WindowedSample]:
-    """Sliding windows with the regression target at each window's last row."""
+def labeled_windows(series_list: list[TimeSeries], row_targets, t: int,
+                    stride: int) -> list[WindowedSample]:
+    """Sliding windows of every series, each labelled with the regression
+    target of its last row; row_targets maps entity id -> per-row targets."""
     out = []
-    for s in ds.series:
+    for s in series_list:
         for w in window(s, t, stride):
-            w.label = ds.window_label(w, t)
+            w.label = float(row_targets[s.entity_id][w.start + t - 1])
             out.append(w)
     return out
 

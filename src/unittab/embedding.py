@@ -1,9 +1,11 @@
 """Heterogeneous field embeddings.
 
 Categorical values use per-attribute lookup tables. Numerical values are
-min-max normalized to [0, 1] (config `numeric_norm`), expanded into an
-interleaved battery of sin/cos features at frequencies 2^0*pi .. 2^(L-1)*pi,
-and linearly projected to the field width d. Timestamps are split into
+min-max normalized to [0, 1] over the attribute's fitted value range
+(values outside it are clamped and counted), expanded into an interleaved
+battery of sin/cos features at frequencies 2^0*pi .. 2^(L-1)*pi, and
+linearly projected to the field width d (config `numeric_input="frequency"`;
+`"binned"` looks up a per-bin table instead). Timestamps are split into
 categorical subfields (year/month/day and hour when present) before any of
 this happens. Masked positions use a single shared [MASK] vector; missing
 values a shared [MISSING] vector.
@@ -29,7 +31,7 @@ from .schema import (
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, SchemaError, Time, TimeSeries,
     default_special_tokens, quantize_array,
 )
-from .tensor import Tensor, concat, embedding_gather, matmul, reshape
+from .tensor import Tensor, embedding_gather, matmul
 
 _CLAMP_COUNT = [0]
 
@@ -43,14 +45,13 @@ def reset_clamp_count() -> None:
     _CLAMP_COUNT[0] = 0
 
 
-def _freq_features(v: np.ndarray, L: int, clamp: bool = True) -> np.ndarray:
+def _freq_features(v: np.ndarray, L: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if clamp:
-        bad = int(np.sum((v < 0.0) | (v > 1.0)))
-        if bad:
-            _CLAMP_COUNT[0] += bad
-            warnings.warn(f"{bad} value(s) outside [0,1] clamped before frequency encoding")
-            v = np.clip(v, 0.0, 1.0)
+    bad = int(np.sum((v < 0.0) | (v > 1.0)))
+    if bad:
+        _CLAMP_COUNT[0] += bad
+        warnings.warn(f"{bad} value(s) outside [0,1] clamped before frequency encoding")
+        v = np.clip(v, 0.0, 1.0)
     angles = (2.0 ** np.arange(L)) * np.pi * v[..., None]  # (..., L)
     out = np.empty(v.shape + (2 * L,), dtype=np.float64)
     out[..., 0::2] = np.sin(angles)
@@ -245,7 +246,6 @@ class EmbeddingBank:
     d: int
     L: int
     numeric_input: str                      # "frequency" | "binned"
-    numeric_norm: str                       # "minmax01" | "none"
     cat_tables: dict[str, Tensor]           # attr -> (V_j, d)
     num_proj: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)  # (2L, d), (d,)
     num_tables: dict[str, Tensor] = field(default_factory=dict)               # (q, d)
@@ -255,17 +255,13 @@ class EmbeddingBank:
 
 
 def build_bank(schema: Schema, d: int, m: int, L: int, numeric_input: str,
-               numeric_norm: str, rng: np.random.Generator,
-               init_std: float = 0.02) -> tuple[EmbeddingBank, dict[str, Tensor]]:
+               rng: np.random.Generator, init_std: float = 0.02) -> tuple[EmbeddingBank, dict[str, Tensor]]:
     """Create embedding parameters for an expanded schema. Returns the bank
     and a name -> parameter mapping (names are checkpoint keys)."""
     if numeric_input not in ("frequency", "binned"):
         raise ValueError(f"unknown numeric_input {numeric_input!r}")
-    if numeric_norm not in ("minmax01", "none"):
-        raise ValueError(f"unknown numeric_norm {numeric_norm!r}")
     params: dict[str, Tensor] = {}
-    bank = EmbeddingBank(d=d, L=L, numeric_input=numeric_input, numeric_norm=numeric_norm,
-                         cat_tables={})
+    bank = EmbeddingBank(d=d, L=L, numeric_input=numeric_input, cat_tables={})
     for name in sorted(schema.attributes):
         spec = schema.attributes[name]
         if spec.kind == CATEGORICAL:
@@ -296,9 +292,9 @@ def build_bank(schema: Schema, d: int, m: int, L: int, numeric_input: str,
     return bank, params
 
 
-def normalize_numeric(vals: np.ndarray, spec: AttributeSpec, mode: str) -> np.ndarray:
-    if mode == "none":
-        return vals
+def normalize_numeric(vals: np.ndarray, spec: AttributeSpec) -> np.ndarray:
+    """Min-max scale onto [0, 1] over the attribute's value range; a
+    degenerate range maps everything to 0.5."""
     lo, hi = spec.value_range
     if hi <= lo:
         return np.full_like(vals, 0.5)
@@ -323,41 +319,10 @@ def embed_slot_batch(bank: EmbeddingBank, spec: AttributeSpec, ids: np.ndarray,
     else:
         safe = np.where(np.isfinite(vals), vals, 0.5 * sum(spec.value_range))
         if bank.numeric_input == "frequency":
-            v = normalize_numeric(safe, spec, bank.numeric_norm)
-            clamp = bank.numeric_norm == "minmax01"
-            feats = Tensor(_freq_features(v, bank.L, clamp=clamp))
+            feats = Tensor(_freq_features(normalize_numeric(safe, spec), bank.L))
             w, b = bank.num_proj[spec.name]
             raw = matmul(feats, w) + b
         else:
             raw = embedding_gather(bank.num_tables[spec.name], quantize_array(safe, spec))
     return raw * w_keep + bank.missing_vec * w_miss + bank.mask_vec * w_mask
 
-
-def embed_field(value, spec: AttributeSpec, bank: EmbeddingBank, masked: bool = False) -> Tensor:
-    """Embed a single field value; see embed_slot_batch for the semantics."""
-    if value is Missing:
-        ids, vals, miss = np.array([-1]), np.array([np.nan]), np.array([True])
-    elif isinstance(value, Cat):
-        if spec.kind != CATEGORICAL:
-            raise SchemaError(f"categorical value for {spec.kind} attribute {spec.name!r}")
-        ids, vals, miss = np.array([value.index]), np.array([np.nan]), np.array([False])
-    elif isinstance(value, Num):
-        if spec.kind != NUMERICAL:
-            raise SchemaError(f"numerical value for {spec.kind} attribute {spec.name!r}")
-        ids, vals, miss = np.array([-1]), np.array([value.value]), np.array([False])
-    else:
-        raise SchemaError(f"cannot embed {type(value).__name__} for attribute {spec.name!r}")
-    out = embed_slot_batch(bank, spec, ids, vals, miss, np.array([masked]))
-    return reshape(out, (bank.d,))
-
-
-def embed_row(row: Row, schema: Schema, bank: EmbeddingBank, mask_flags) -> Tensor:
-    """Stack embed_field results for one expanded row: (k_h, d)."""
-    rt = schema.row_type(row.type_id)
-    if len(mask_flags) != rt.arity:
-        raise SchemaError(f"mask flags length {len(mask_flags)} != row arity {rt.arity}")
-    parts = []
-    for (name, v), flag in zip(zip(rt.attributes, row.values), mask_flags):
-        e = embed_field(v, schema.attributes[name], bank, masked=bool(flag))
-        parts.append(reshape(e, (1, bank.d)))
-    return concat(parts, axis=0)

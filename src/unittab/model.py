@@ -20,7 +20,7 @@ from .embedding import build_bank, embed_slot_batch, normalize_numeric
 from .schema import CATEGORICAL, NUMERICAL, Schema, quantize_array
 from .tensor import (
     Tensor, concat, dropout, embedding_gather, gelu, layer_norm, matmul,
-    relu, reshape, slice_, softmax, transpose,
+    reshape, slice_, softmax, transpose,
 )
 
 
@@ -47,9 +47,6 @@ class ModelConfig:
     numeric_input: str = "frequency"   # "frequency" | "binned"
     numeric_target: str = "bins"       # "bins" | "scalar" (regression ablation)
     n_row_types: int = 1
-    activation: str = "gelu"           # "gelu" | "relu"
-    norm_placement: str = "post"       # "post" | "pre"
-    numeric_norm: str = "minmax01"     # "minmax01" | "none"
     task_head: str | None = None       # "regression" | "binary", set at fine-tune time
 
     def validate(self) -> None:
@@ -59,10 +56,6 @@ class ModelConfig:
             raise ModelError(f"unknown numeric_input {self.numeric_input!r}")
         if self.numeric_target not in ("bins", "scalar"):
             raise ModelError(f"unknown numeric_target {self.numeric_target!r}")
-        if self.activation not in ("gelu", "relu"):
-            raise ModelError(f"unknown activation {self.activation!r}")
-        if self.norm_placement not in ("post", "pre"):
-            raise ModelError(f"unknown norm_placement {self.norm_placement!r}")
         if self.task_head not in (None, "regression", "binary"):
             raise ModelError(f"unknown task_head {self.task_head!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -189,7 +182,7 @@ class Model:
 
         self.bank, bank_params = build_bank(
             schema, config.d, config.m, config.freq_count,
-            config.numeric_input, config.numeric_norm, rng)
+            config.numeric_input, rng)
         self.params.update(bank_params)
 
         self._init_encoder("field", config.d, config.field_layers, rng)
@@ -277,9 +270,6 @@ class Model:
 
     # -- encoder blocks
 
-    def _act(self, x: Tensor) -> Tensor:
-        return gelu(x) if self.config.activation == "gelu" else relu(x)
-
     def _linear(self, x: Tensor, name: str) -> Tensor:
         return matmul(x, self.params[f"{name}.weight"]) + self.params[f"{name}.bias"]
 
@@ -300,26 +290,21 @@ class Model:
         return self._linear(reshape(ctx, (b, t, w)), f"{p}.attn.wo")
 
     def _ffn(self, x: Tensor, p: str) -> Tensor:
-        return self._linear(self._act(self._linear(x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
+        return self._linear(gelu(self._linear(x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
 
     def _ln(self, x: Tensor, p: str, which: str) -> Tensor:
         return layer_norm(x, self.params[f"{p}.{which}.gamma"], self.params[f"{p}.{which}.beta"])
 
     def _encoder(self, prefix: str, layers: int, heads: int, x: Tensor,
                  add_mask, rng, training) -> Tensor:
+        """Post-norm blocks: each layer norm follows its residual add."""
         pdrop = self.config.dropout
         for i in range(layers):
             p = f"{prefix}.{i}"
-            if self.config.norm_placement == "post":
-                a = self._attention(x, p, heads, add_mask, rng, training)
-                x = self._ln(x + dropout(a, pdrop, rng, training), p, "ln1")
-                f = self._ffn(x, p)
-                x = self._ln(x + dropout(f, pdrop, rng, training), p, "ln2")
-            else:
-                a = self._attention(self._ln(x, p, "ln1"), p, heads, add_mask, rng, training)
-                x = x + dropout(a, pdrop, rng, training)
-                f = self._ffn(self._ln(x, p, "ln2"), p)
-                x = x + dropout(f, pdrop, rng, training)
+            a = self._attention(x, p, heads, add_mask, rng, training)
+            x = self._ln(x + dropout(a, pdrop, rng, training), p, "ln1")
+            f = self._ffn(x, p)
+            x = self._ln(x + dropout(f, pdrop, rng, training), p, "ln2")
         return x
 
     # -- the four architectural operations
@@ -383,12 +368,12 @@ class Model:
         return reshape(out, out.shape[1:]) if single else out
 
     def _head(self, attr: str, x: Tensor) -> Tensor:
-        h = self._act(matmul(x, self.params[f"heads.{attr}.w1"]) + self.params[f"heads.{attr}.b1"])
+        h = gelu(matmul(x, self.params[f"heads.{attr}.w1"]) + self.params[f"heads.{attr}.b1"])
         return matmul(h, self.params[f"heads.{attr}.w2"]) + self.params[f"heads.{attr}.b2"]
 
     # -- batch assembly shared by the two end-to-end passes
 
-    def _embed_rows(self, rows_by_sample, masks_by_sample, rng, training):
+    def _project_rows(self, rows_by_sample, masks_by_sample, rng, training):
         """Group all rows by type, embed fields, run the Field Transformer,
         and project to width m. Returns the type-grouped projection tensor
         and the batch's _RowLayout."""
@@ -440,7 +425,7 @@ class Model:
         if len(smoothing) != 1:
             raise ModelError("all samples of a batch must share one label smoothing setting")
         (eps, radius), = smoothing
-        proj, layout = self._embed_rows(rows_by_sample, masks_by_sample, rng, training)
+        proj, layout = self._project_rows(rows_by_sample, masks_by_sample, rng, training)
         seq, real = self._assemble_sequence(proj, layout)
         z = self.sequence_forward(seq, real, rng, training, with_cls=False)
         zflat = reshape(z, (b * t, self.config.m))
@@ -474,7 +459,7 @@ class Model:
                 dists = smoothed_class_targets(cat_ids[idx], len(spec.vocab), eps)
                 out.cat_groups.append((attr, pred, dists))
             elif self.config.numeric_target == "scalar":
-                scalars = np.clip(normalize_numeric(num_vals[idx], spec, "minmax01"), 0.0, 1.0)
+                scalars = np.clip(normalize_numeric(num_vals[idx], spec), 0.0, 1.0)
                 out.reg_groups.append((attr, reshape(pred, (idx.size,)), scalars))
             else:
                 dists = smoothed_bin_targets(quantize_array(num_vals[idx], spec),
@@ -491,7 +476,7 @@ class Model:
         t = max(len(r) for r in rows_by_sample)
         if t > self.config.t_max:
             raise LengthError(f"sequence length {t} exceeds t_max={self.config.t_max}")
-        proj, layout = self._embed_rows(rows_by_sample, None, rng, training)
+        proj, layout = self._project_rows(rows_by_sample, None, rng, training)
         seq, real = self._assemble_sequence(proj, layout)
         cls = reshape(embedding_gather(self.bank.cls_vec, np.zeros(b, dtype=np.int64)),
                       (b, 1, self.config.m))
@@ -499,7 +484,7 @@ class Model:
         real = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
         z = self.sequence_forward(seq, real, rng, training, with_cls=True)
         pooled = slice_(z, (slice(None), 0))
-        h = self._act(matmul(pooled, self.params["finetune.w1"]) + self.params["finetune.b1"])
+        h = gelu(matmul(pooled, self.params["finetune.w1"]) + self.params["finetune.b1"])
         outp = matmul(h, self.params["finetune.w2"]) + self.params["finetune.b2"]
         if self.config.task_head == "regression":
             return reshape(outp, (b,))

@@ -1,6 +1,6 @@
 """Dense-tensor reverse-mode autodiff engine.
 
-Tensors wrap numpy arrays (row-major, float64 by default) and record the
+Tensors wrap float64 numpy arrays (row-major) and record the
 operations that produced them. Calling ``backward()`` on a scalar replays
 the recorded operations in exact reverse execution order and accumulates
 gradients into every tensor with ``requires_grad=True``.
@@ -32,22 +32,10 @@ class NumericError(TensorError):
     """Raised when NaN/Inf is detected at a checked boundary."""
 
 
-_DTYPE = [np.float64]
 _OP_IDS = itertools.count()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch between float64 (default) and float32 tensor storage."""
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be numpy float32 or float64")
-    _DTYPE[0] = dtype
-
-
-def default_dtype():
-    return _DTYPE[0]
 
 
 class Tensor:
@@ -56,7 +44,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DTYPE[0])
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite values in tensor data")
         self.data = np.array(arr)  # own the buffer
@@ -162,7 +150,7 @@ class GradTape:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DTYPE[0]))
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -407,7 +395,7 @@ def cross_entropy_soft(logits: Tensor, targets) -> Tensor:
     `targets` is a constant (ndarray or Tensor); every row must be a
     probability distribution (sum 1 within 1e-9, entries >= 0).
     """
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=_DTYPE[0])
+    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     x = logits.data
     if x.ndim != 2 or x.shape[1] < 2:
         raise ShapeError(f"cross_entropy_soft expects (B, q>=2) logits, got {x.shape}")

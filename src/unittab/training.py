@@ -58,7 +58,6 @@ class TrainConfig:
     neighborhood_radius: int = 5
     loss_mode: str = "unified_ce"     # "unified_ce" | "regression_l2"
     regression_weight: float = 50.0
-    optimizer: str = "adamw"
     lr: float = 5e-5
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ConfigError("neighborhood radius must be >= 0")
         if self.loss_mode not in ("unified_ce", "regression_l2"):
             raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.optimizer != "adamw":
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.mask_variant not in ("pure", "bert_80_10_10"):
             raise ConfigError(f"unknown mask_variant {self.mask_variant!r}")
 
@@ -310,10 +307,6 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * update
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
 
 # ---------------------------------------------------------------------------
 # metrics log (newline-delimited JSON)
@@ -337,6 +330,43 @@ class MetricsLog:
 
 # ---------------------------------------------------------------------------
 # loops
+
+
+def _batched(items, size):
+    for lo in range(0, len(items), size):
+        yield items[lo:lo + size]
+
+
+def _train_loop(step, n_items: int, model: Model, opt: AdamW, cfg: TrainConfig,
+                rng: np.random.Generator, split: str, metrics_path=None,
+                checkpoint_path=None) -> list[float]:
+    """The optimisation loop both phases share. Each epoch draws one
+    permutation of the n_items training items and hands `step` one batch
+    of indices at a time; `step` returns the loss Tensor, or None when the
+    batch has nothing to learn from (logged as 0.0, no optimizer step).
+    Stops after cfg.max_steps steps; with a checkpoint path, saves every
+    cfg.checkpoint_every steps. Returns the loss of every step."""
+    losses: list[float] = []
+    log = MetricsLog(metrics_path)
+    try:
+        for _ in range(cfg.epochs):
+            for chunk in _batched(rng.permutation(n_items), cfg.batch_size):
+                loss = step(chunk)
+                if loss is not None:
+                    model.zero_grad()
+                    loss.backward()
+                    opt.step()
+                value = 0.0 if loss is None else loss.item()
+                log.write(len(losses), split, "loss", value)
+                losses.append(value)
+                steps = len(losses)
+                if checkpoint_path and cfg.checkpoint_every and steps % cfg.checkpoint_every == 0:
+                    save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
+                if cfg.max_steps is not None and steps >= cfg.max_steps:
+                    return losses
+    finally:
+        log.close()
+    return losses
 
 
 @dataclass
@@ -367,47 +397,19 @@ def pretrain(data: list[EncodedSeries], model: Model, cfg: TrainConfig,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     opt = AdamW(model.params, lr=cfg.lr, betas=cfg.betas,
                 weight_decay=cfg.weight_decay, no_decay=model.no_decay)
-    log = MetricsLog(metrics_path)
-    losses: list[float] = []
-    steps = 0
-    try:
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(data))
-            for lo in range(0, len(order), cfg.batch_size):
-                chunk = order[lo:lo + cfg.batch_size]
-                batch = []
-                for i in chunk:
-                    crop = random_crop(data[i], model.config.t_max, rng)
-                    batch.append(apply_masking(crop, model.schema, cfg, rng))
-                out = model.pretrain_forward(batch, rng, training=True)
-                if out.n_masked == 0:
-                    losses.append(0.0)
-                    log.write(steps, "pretrain", "loss", 0.0)
-                    steps += 1
-                else:
-                    loss = pretrain_loss(out, cfg)
-                    model.zero_grad()
-                    loss.backward()
-                    opt.step()
-                    losses.append(loss.item())
-                    log.write(steps, "pretrain", "loss", loss.item())
-                    steps += 1
-                if checkpoint_path and cfg.checkpoint_every and steps % cfg.checkpoint_every == 0:
-                    save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
-                if cfg.max_steps is not None and steps >= cfg.max_steps:
-                    raise StopIteration
-    except StopIteration:
-        pass
-    finally:
-        log.close()
+
+    def step(chunk):
+        batch = [apply_masking(random_crop(data[i], model.config.t_max, rng),
+                               model.schema, cfg, rng)
+                 for i in chunk]
+        out = model.pretrain_forward(batch, rng, training=True)
+        return pretrain_loss(out, cfg) if out.n_masked else None
+
+    losses = _train_loop(step, len(data), model, opt, cfg, rng, "pretrain",
+                         metrics_path, checkpoint_path)
     if checkpoint_path:
-        save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
-    return PretrainResult(losses, steps, opt)
-
-
-def _batched(items, size):
-    for lo in range(0, len(items), size):
-        yield items[lo:lo + size]
+        save_checkpoint(checkpoint_path, model, opt, cfg, rng, len(losses))
+    return PretrainResult(losses, len(losses), opt)
 
 
 def predict(model: Model, samples, task: str, batch_size: int = 64):
@@ -481,47 +483,27 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     if task == "binary" and (upsample if upsample is not None else True):
         train_samples = balance_upsample(list(train_samples), rng)
+    labels = np.asarray([s.label for s in train_samples], dtype=np.float64)
     label_mu, label_sd = 0.0, 1.0
     if task == "regression":
         # train on standardized labels; the affine folds back into the head
         # afterwards so the checkpointed model predicts raw scale
-        raw = np.asarray([s.label for s in train_samples], dtype=np.float64)
-        label_mu = float(raw.mean())
-        label_sd = float(raw.std()) or 1.0
+        label_mu = float(labels.mean())
+        label_sd = float(labels.std()) or 1.0
     trainable = (dict(model.params) if not freeze_backbone
                  else {k: p for k, p in model.params.items() if k.startswith("finetune.")})
     opt = AdamW(trainable, lr=cfg.lr, betas=cfg.betas,
                 weight_decay=cfg.weight_decay, no_decay=model.no_decay)
-    log = MetricsLog(metrics_path)
-    losses: list[float] = []
-    steps = 0
-    try:
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(train_samples))
-            for chunk in _batched(order, cfg.batch_size):
-                batch = [train_samples[i] for i in chunk]
-                out = model.finetune_forward(batch, rng, training=True)
-                if task == "regression":
-                    y = (np.asarray([s.label for s in batch], dtype=np.float64) - label_mu) / label_sd
-                    diff = out - Tensor(y)
-                    loss = mean(diff * diff)
-                else:
-                    onehot = np.zeros((len(batch), 2))
-                    for j, s in enumerate(batch):
-                        onehot[j, int(s.label)] = 1.0
-                    loss = cross_entropy_soft(out, onehot)
-                model.zero_grad()
-                loss.backward()
-                opt.step()
-                losses.append(loss.item())
-                log.write(steps, "finetune", "loss", loss.item())
-                steps += 1
-                if cfg.max_steps is not None and steps >= cfg.max_steps:
-                    raise StopIteration
-    except StopIteration:
-        pass
-    finally:
-        log.close()
+
+    def step(chunk):
+        out = model.finetune_forward([train_samples[i] for i in chunk], rng, training=True)
+        if task == "regression":
+            diff = out - Tensor((labels[chunk] - label_mu) / label_sd)
+            return mean(diff * diff)
+        return cross_entropy_soft(out, np.eye(2)[labels[chunk].astype(np.int64)])
+
+    losses = _train_loop(step, len(train_samples), model, opt, cfg, rng, "finetune",
+                         metrics_path)
     if task == "regression" and (label_mu != 0.0 or label_sd != 1.0):
         model.params["finetune.w2"].data *= label_sd
         model.params["finetune.b2"].data = model.params["finetune.b2"].data * label_sd + label_mu

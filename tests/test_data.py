@@ -127,7 +127,7 @@ def test_pollution_generator_shape_and_validity():
 
 def test_pollution_noise0_oracle_is_exact():
     ds = gen_pollution_like(PollutionConfig(n_entities=2, rows_per_entity=30, noise=0.0, q_bins=8), 3)
-    wins = labeled_windows(ds, t=10, stride=10)
+    wins = labeled_windows(ds.series, ds.row_targets, t=10, stride=10)
     preds = [pollution_oracle(w.rows, ds.schema) for w in wins]
     labels = [w.label for w in wins]
     assert np.allclose(preds, labels, atol=1e-12)
@@ -235,6 +235,21 @@ def test_csv_mostly_nan_column_rejected(tmp_path):
     lines.append("a,1,1.0,red,2021-01-05")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="amount.*3/4"):
+        read_csv(path, schema)
+
+
+@pytest.mark.parametrize("header, bad_row", [
+    ("entity_id,row_type,amount,color,timestamp", ",1,2.0,red,2021-01-02"),  # empty cell
+    ("row_type,amount,color,timestamp,entity_id", "1,2.0,red,2021-01-02"),   # short row
+])
+def test_csv_row_without_entity_id_rejected(header, bad_row, tmp_path):
+    schema = make_tiny_schema()
+    cells = {"entity_id": "a", "row_type": "1", "amount": "1.0", "color": "red",
+             "timestamp": "2021-01-01"}
+    good = ",".join(cells[c] for c in header.split(","))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([header, good, "", bad_row, good]) + "\n")
+    with pytest.raises(FormatError, match=r"data row 2 \(line 4\) has no 'entity_id' value"):
         read_csv(path, schema)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from unittab.embedding import (
-    build_bank, clamp_count, embed_field, embed_row, expand_schema,
-    expand_series, freq_encode, prepare_series, reset_clamp_count, split_timestamp,
+    build_bank, clamp_count, embed_slot_batch, expand_schema, expand_series,
+    freq_encode, prepare_series, reset_clamp_count, split_timestamp,
 )
 from unittab.schema import Cat, Missing, Num, Time
 from unittab.tensor import Tensor, matmul
@@ -17,8 +17,18 @@ SQ2 = math.sqrt(2.0) / 2.0
 def make_bank(schema, d=6, m=8, L=2, numeric_input="frequency", seed=0):
     expanded = expand_schema(schema)
     rng = np.random.default_rng(seed)
-    bank, params = build_bank(expanded, d, m, L, numeric_input, "minmax01", rng)
+    bank, params = build_bank(expanded, d, m, L, numeric_input, rng)
     return expanded, bank, params
+
+
+def embed(bank, spec, values, masked=False):
+    """embed_slot_batch over one attribute's values (Cat, Num or Missing),
+    one batch row per value; `masked` is one flag for all or one per value."""
+    ids = np.array([v.index if isinstance(v, Cat) else -1 for v in values], dtype=np.int64)
+    vals = np.array([v.value if isinstance(v, Num) else np.nan for v in values])
+    missing = np.array([v is Missing for v in values])
+    flags = np.broadcast_to(np.asarray(masked, dtype=bool), missing.shape).copy()
+    return embed_slot_batch(bank, spec, ids, vals, missing, flags)
 
 
 def test_freq_encode_zero():
@@ -94,79 +104,88 @@ def test_embed_field_cat_is_exact_table_row():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema)
     spec = expanded.attributes["color"]
-    out = embed_field(Cat(3), spec, bank)
-    assert np.array_equal(out.data, bank.cat_tables["color"].data[3])
+    table = bank.cat_tables["color"].data
+    assert np.array_equal(embed(bank, spec, [Cat(3)]).data, table[[3]])
+    assert np.array_equal(embed(bank, spec, [Cat(3), Cat(0), Cat(2)]).data, table[[3, 0, 2]])
 
 
 def test_embed_field_num_at_range_min():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema, L=2)
     spec = expanded.attributes["amount"]  # value_range (0, 3)
-    out = embed_field(Num(0.0), spec, bank)
     w, b = bank.num_proj["amount"]
+    out = embed(bank, spec, [Num(0.0)])
     expected = matmul(Tensor(freq_encode(0.0, 2).reshape(1, -1)), w) + b
-    assert np.allclose(out.data, expected.data.reshape(-1), atol=1e-15)
+    assert np.allclose(out.data, expected.data, atol=1e-15)
+    out = embed(bank, spec, [Num(0.0), Num(1.5), Num(3.0)])
+    feats = np.stack([freq_encode(v / 3.0, 2) for v in (0.0, 1.5, 3.0)])
+    assert np.allclose(out.data, (matmul(Tensor(feats), w) + b).data, atol=1e-15)
 
 
 def test_embed_field_missing_uses_missing_vector():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema)
-    for name in ("color", "amount"):
-        out = embed_field(Missing, expanded.attributes[name], bank)
-        assert np.array_equal(out.data, bank.missing_vec.data)
+    for name, value in (("color", Cat(1)), ("amount", Num(1.0))):
+        spec = expanded.attributes[name]
+        assert np.array_equal(embed(bank, spec, [Missing]).data, bank.missing_vec.data[None])
+        out = embed(bank, spec, [value, Missing, value])
+        assert np.array_equal(out.data[1], bank.missing_vec.data)
+        assert np.allclose(out.data[[0, 2]], np.tile(embed(bank, spec, [value]).data, (2, 1)))
 
 
 def test_embed_field_masked_overrides_value():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema)
-    out = embed_field(Cat(1), expanded.attributes["color"], bank, masked=True)
-    assert np.array_equal(out.data, bank.mask_vec.data)
+    spec = expanded.attributes["color"]
+    out = embed(bank, spec, [Cat(1)], masked=True)
+    assert np.array_equal(out.data, bank.mask_vec.data[None])
+    out = embed(bank, spec, [Cat(1), Missing, Cat(2)], masked=[True, True, False])
+    assert np.array_equal(out.data[:2], np.tile(bank.mask_vec.data, (2, 1)))
+    assert np.array_equal(out.data[2], bank.cat_tables["color"].data[2])
 
 
 def test_embed_row_composition():
     schema = make_tiny_schema()
     series = expand_series(make_tiny_series(), schema)
     expanded, bank, _ = make_bank(schema)
-    row = series.rows[0]
     rt = expanded.row_types[0]
-    out = embed_row(row, expanded, bank, [False] * rt.arity)
-    for i, (name, v) in enumerate(zip(rt.attributes, row.values)):
-        single = embed_field(v, expanded.attributes[name], bank)
-        assert np.allclose(out.data[i], single.data)
+    for s, name in enumerate(rt.attributes):
+        spec = expanded.attributes[name]
+        column = [row.values[s] for row in series.rows]
+        batch = embed(bank, spec, column)
+        for i, v in enumerate(column):
+            assert np.allclose(batch.data[i], embed(bank, spec, [v]).data[0])
 
 
 def test_embed_row_all_masked():
     schema = make_tiny_schema()
     series = expand_series(make_tiny_series(), schema)
     expanded, bank, _ = make_bank(schema)
-    rt = expanded.row_types[0]
-    out = embed_row(series.rows[0], expanded, bank, [True] * rt.arity)
-    assert np.array_equal(out.data, np.tile(bank.mask_vec.data, (rt.arity, 1)))
-
-
-def test_embed_row_arity_mismatch():
-    schema = make_tiny_schema()
-    series = expand_series(make_tiny_series(), schema)
-    expanded, bank, _ = make_bank(schema)
-    with pytest.raises(Exception):
-        embed_row(series.rows[0], expanded, bank, [False] * 2)
+    for s, name in enumerate(expanded.row_types[0].attributes):
+        column = [row.values[s] for row in series.rows]
+        out = embed(bank, expanded.attributes[name], column, masked=True)
+        assert np.array_equal(out.data, np.tile(bank.mask_vec.data, (len(column), 1)))
 
 
 def test_equal_normalized_values_embed_bitwise_equal():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema)
     spec = expanded.attributes["amount"]
-    a = embed_field(Num(1.2), spec, bank)
-    b = embed_field(Num(1.2), spec, bank)
+    a = embed(bank, spec, [Num(1.2)])
+    b = embed(bank, spec, [Num(1.2)])
     assert np.array_equal(a.data, b.data)
+    pair = embed(bank, spec, [Num(1.2), Num(0.4), Num(1.2)])
+    assert np.array_equal(pair.data[0], pair.data[2])
 
 
 def test_binned_input_mode_uses_tables():
     schema = make_tiny_schema()
     expanded, bank, _ = make_bank(schema, numeric_input="binned")
     spec = expanded.attributes["amount"]
-    out = embed_field(Num(1.5), spec, bank)  # quantizes to bin 1
-    assert np.array_equal(out.data, bank.num_tables["amount"].data[1])
+    table = bank.num_tables["amount"].data
+    assert np.array_equal(embed(bank, spec, [Num(1.5)]).data, table[[1]])  # bin 1
+    out = embed(bank, spec, [Num(1.5), Num(0.2), Num(2.9)])
+    assert np.array_equal(out.data, table[[1, 0, 2]])
 
 
 def test_prepare_series_round_trip_shapes():

@@ -197,8 +197,8 @@ def test_finetune_head_gradcheck():
     pooled = Tensor(np.random.default_rng(6).normal(size=(2, model.config.m)), requires_grad=True)
 
     def f(t):
-        from unittab.tensor import matmul, mean
-        h = model._act(matmul(t, model.params["finetune.w1"]) + model.params["finetune.b1"])
+        from unittab.tensor import gelu, matmul, mean
+        h = gelu(matmul(t, model.params["finetune.w1"]) + model.params["finetune.b1"])
         out = matmul(h, model.params["finetune.w2"]) + model.params["finetune.b2"]
         return mean(out * out)
 

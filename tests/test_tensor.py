@@ -235,14 +235,3 @@ def test_every_primitive_matches_finite_differences():
     for r in results:
         assert r.passed, f"{r.name}: {r.max_err:.3e} >= {r.tol}"
 
-
-def test_float32_mode_exists():
-    from unittab.tensor import default_dtype, set_default_dtype
-    assert default_dtype() == np.float64
-    set_default_dtype(np.float32)
-    try:
-        x = Tensor([1.0, 2.0])
-        assert x.data.dtype == np.float32
-        assert softmax(x).data.dtype == np.float32
-    finally:
-        set_default_dtype(np.float64)

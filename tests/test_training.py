@@ -575,3 +575,19 @@ def test_pretrain_abort_preserves_last_checkpoint(tmp_path):
         pretrain(encoded, model, cfg, checkpoint_path=path)
     state = load_checkpoint(path, model.schema)
     assert state.step == 4  # last periodic checkpoint before the failure
+
+
+@pytest.mark.parametrize("which, key, value", [
+    ("model", "norm_placement", "post"),
+    ("train", "optimizer", "adamw"),
+])
+def test_checkpoint_unknown_config_key_is_named(which, key, value, tmp_path, monkeypatch):
+    model, _ = small_pretrain_setup()
+    cfg = TrainConfig()
+    config = model.config if which == "model" else cfg
+    saved = {**config.to_dict(), key: value}
+    monkeypatch.setattr(config, "to_dict", lambda: saved)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, None, cfg, None, 0)
+    with pytest.raises(CheckpointError, match=rf"{which} config has unknown key\(s\) '{key}'"):
+        load_checkpoint(path, model.schema)
