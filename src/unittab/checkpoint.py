@@ -47,8 +47,8 @@ def _collect_tensors(model: Model, optimizer) -> dict[str, np.ndarray]:
 
 
 def _config_from(cls, d: dict, what: str):
-    """cls.from_dict(d), refusing keys that cls no longer has (options a
-    later version removed) by name."""
+    """cls.from_dict(d), refusing by name any key that cls has no field
+    for, such as an option removed since the checkpoint was written."""
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise CheckpointError(f"checkpoint {what} has unknown key(s) "

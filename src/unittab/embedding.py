@@ -255,7 +255,8 @@ class EmbeddingBank:
 
 
 def build_bank(schema: Schema, d: int, m: int, L: int, numeric_input: str,
-               rng: np.random.Generator, init_std: float = 0.02) -> tuple[EmbeddingBank, dict[str, Tensor]]:
+               rng: np.random.Generator,
+               init_std: float = 0.02) -> tuple[EmbeddingBank, dict[str, Tensor]]:
     """Create embedding parameters for an expanded schema. Returns the bank
     and a name -> parameter mapping (names are checkpoint keys)."""
     if numeric_input not in ("frequency", "binned"):

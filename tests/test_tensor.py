@@ -234,4 +234,3 @@ def test_every_primitive_matches_finite_differences():
     results = check_primitives(trials=10)
     for r in results:
         assert r.passed, f"{r.name}: {r.max_err:.3e} >= {r.tol}"
-
