@@ -352,11 +352,12 @@ def _train_loop(step, n_items: int, model: Model, opt: AdamW, cfg: TrainConfig,
         for _ in range(cfg.epochs):
             for chunk in _batched(rng.permutation(n_items), cfg.batch_size):
                 loss = step(chunk)
+                value = 0.0
                 if loss is not None:
                     model.zero_grad()
                     loss.backward()
                     opt.step()
-                value = 0.0 if loss is None else loss.item()
+                    value = loss.item()
                 log.write(len(losses), split, "loss", value)
                 losses.append(value)
                 steps = len(losses)
