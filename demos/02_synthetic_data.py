@@ -9,6 +9,9 @@ tailed amounts, and an entity churn label drawn from a recorded logistic
 rule over the last thirty rows.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from unittab.data import (
@@ -61,5 +64,6 @@ crops = [last_crop(s, 30) for s in split.train]
 balanced = balance_upsample(crops, np.random.default_rng(5))
 print(f"after upsampling: {sum(1 for c in balanced if c.label)} positives of {len(balanced)}")
 
-write_csv("/tmp/unittab_demo_transactions.csv", mt.series[:3], mt.schema)
-print("wrote a 3-account CSV sample to /tmp/unittab_demo_transactions.csv")
+csv_path = Path(tempfile.mkdtemp(prefix="unittab_demo_")) / "transactions.csv"
+write_csv(csv_path, mt.series[:3], mt.schema)
+print(f"wrote a 3-account CSV sample to {csv_path}")

@@ -11,7 +11,7 @@ numerical bins).
 from .tensor import Tensor, GradTape, grad_check
 from .schema import (
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, Time, TimeSeries,
-    fit_bins, fit_schema, fit_vocab, quantize, schema_from_json, schema_hash,
+    fit_bins, fit_schema, fit_vocab, schema_from_json, schema_hash,
     schema_to_json, validate,
 )
 from .embedding import (
@@ -19,7 +19,7 @@ from .embedding import (
     split_timestamp,
 )
 from .data import (
-    CsvSpec, DatasetSplit, MultitypeConfig, PollutionConfig, WindowedSample,
+    DatasetSplit, MultitypeConfig, PollutionConfig, WindowedSample,
     balance_upsample, gen_multitype_transactions, gen_pollution_like, last_crop,
     random_crop, read_csv, split_by_entity, window, write_csv,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    CsvSpec, MultitypeConfig, PollutionConfig, export_dataset,
+    MultitypeConfig, PollutionConfig, export_dataset,
     gen_multitype_transactions, gen_pollution_like, labeled_windows, last_crop,
     read_csv, split_by_entity,
 )
@@ -89,7 +89,7 @@ def _load_dataset(data_dir):
     if not d.is_dir():
         raise UsageError(f"data directory {d} does not exist")
     schema = schema_from_json((d / "schema.json").read_text())
-    series, _ = read_csv(d / "data.csv", schema, CsvSpec())
+    series, _ = read_csv(d / "data.csv", schema)
     manifest = json.loads((d / "manifest.json").read_text()) if (d / "manifest.json").exists() else {}
     labels = json.loads((d / "labels.json").read_text()) if (d / "labels.json").exists() else None
     targets = json.loads((d / "targets.json").read_text()) if (d / "targets.json").exists() else None

@@ -53,21 +53,16 @@ class WindowedSample:
 class DatasetSplit:
     train: list[TimeSeries]
     test: list[TimeSeries]
-    validation: list[TimeSeries] | None = None
-    split_seed: int = 0
 
 
-def split_by_entity(series_list: list[TimeSeries], test_fraction: float, seed: int,
-                    validation_fraction: float = 0.0) -> DatasetSplit:
+def split_by_entity(series_list: list[TimeSeries], test_fraction: float,
+                    seed: int) -> DatasetSplit:
     """Split with disjoint entity ids across the parts."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     order = rng.permutation(len(series_list))
     n_test = int(round(test_fraction * len(series_list)))
-    n_val = int(round(validation_fraction * len(series_list)))
-    test = [series_list[i] for i in order[:n_test]]
-    val = [series_list[i] for i in order[n_test:n_test + n_val]]
-    train = [series_list[i] for i in order[n_test + n_val:]]
-    return DatasetSplit(train=train, test=test, validation=val or None, split_seed=seed)
+    return DatasetSplit(train=[series_list[i] for i in order[n_test:]],
+                        test=[series_list[i] for i in order[:n_test]])
 
 
 def window(series: TimeSeries, t: int, stride: int) -> list[WindowedSample]:
@@ -104,10 +99,10 @@ def last_crop(series: TimeSeries, t_max: int) -> WindowedSample:
     return WindowedSample(series.rows[start:], series.entity_id, label=series.label, start=start)
 
 
-def balance_upsample(samples: list[WindowedSample], rng: np.random.Generator,
-                     ratio: float = 1.0) -> list[WindowedSample]:
-    """Duplicate positives (with replacement) until the positive count is
-    ratio * negative count, then shuffle. Negatives pass through exactly."""
+def balance_upsample(samples: list[WindowedSample],
+                     rng: np.random.Generator) -> list[WindowedSample]:
+    """Duplicate positives (with replacement) until they are as many as the
+    negatives, then shuffle. Negatives pass through exactly."""
     pos = [s for s in samples if s.label]
     neg = [s for s in samples if not s.label]
     for s in samples:
@@ -115,7 +110,7 @@ def balance_upsample(samples: list[WindowedSample], rng: np.random.Generator,
             raise BalanceError("balance_upsample needs binary labels on every sample")
     if not pos or not neg:
         raise BalanceError("balance_upsample needs both classes present")
-    target = int(round(ratio * len(neg)))
+    target = len(neg)
     out = list(samples)
     if len(pos) < target:
         extra = rng.integers(0, len(pos), size=target - len(pos))
@@ -128,10 +123,8 @@ def balance_upsample(samples: list[WindowedSample], rng: np.random.Generator,
 # CSV interface
 
 
-@dataclass
-class CsvSpec:
-    entity_column: str = "entity_id"
-    type_column: str | None = "row_type"
+ENTITY_COLUMN = "entity_id"
+TYPE_COLUMN = "row_type"  # optional when the schema has one row type
 
 
 @dataclass
@@ -221,7 +214,7 @@ def _time_key(values: list, ts_slots: list[int]) -> tuple[int, int, int, int] | 
     return None
 
 
-def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[TimeSeries], ParseReport]:
+def read_csv(path, schema: Schema) -> tuple[list[TimeSeries], ParseReport]:
     """Parse a header CSV into per-entity series sorted by timestamp.
 
     Entities come out in order of first appearance. A series is sorted
@@ -237,16 +230,16 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
         reader = csv.reader(f)
         header = next(reader, [])
         column = {name: i for i, name in enumerate(header)}  # last wins, as in DictReader
-        if csv_spec.entity_column not in column:
-            raise FormatError(f"missing entity column {csv_spec.entity_column!r}")
+        if ENTITY_COLUMN not in column:
+            raise FormatError(f"missing entity column {ENTITY_COLUMN!r}")
         for name in schema.attributes:
             if name not in column:
                 raise FormatError(f"schema attribute {name!r} not found in CSV header")
         multi_type = schema.n_row_types > 1
-        if multi_type and (csv_spec.type_column is None or csv_spec.type_column not in column):
-            raise FormatError(f"missing row type column {csv_spec.type_column!r}")
-        entity_col = column[csv_spec.entity_column]
-        type_col = column.get(csv_spec.type_column) if csv_spec.type_column else None
+        if multi_type and TYPE_COLUMN not in column:
+            raise FormatError(f"missing row type column {TYPE_COLUMN!r}")
+        entity_col = column[ENTITY_COLUMN]
+        type_col = column.get(TYPE_COLUMN)
         width = len(header)
         readers = {name: _cell_reader(spec, report) for name, spec in schema.attributes.items()}
         plans: dict = {}  # type cell -> (type id, cell readers, column indices)
@@ -274,7 +267,7 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
             type_id, cell_readers, cols = plan
             if not rec[entity_col]:
                 raise FormatError(f"data row {report.rows} (line {reader.line_num}) has no "
-                                  f"{csv_spec.entity_column!r} value")
+                                  f"{ENTITY_COLUMN!r} value")
             type_rows[type_id] += 1
             by_entity[rec[entity_col]].append(
                 Row(type_id, [read(rec[c]) for read, c in zip(cell_readers, cols)]))
@@ -298,11 +291,8 @@ def read_csv(path, schema: Schema, csv_spec: CsvSpec = CsvSpec()) -> tuple[list[
     return out, report
 
 
-def write_csv(path, series_list: list[TimeSeries], schema: Schema,
-              csv_spec: CsvSpec = CsvSpec()) -> None:
-    columns = [csv_spec.entity_column]
-    if csv_spec.type_column:
-        columns.append(csv_spec.type_column)
+def write_csv(path, series_list: list[TimeSeries], schema: Schema) -> None:
+    columns = [ENTITY_COLUMN, TYPE_COLUMN]
     attr_names = sorted(schema.attributes)
     columns += attr_names
     with open(path, "w", newline="") as f:
@@ -321,10 +311,7 @@ def write_csv(path, series_list: list[TimeSeries], schema: Schema,
                         cells[name] = repr(v.value)
                     else:
                         cells[name] = _format_time(v)
-                rec = [s.entity_id]
-                if csv_spec.type_column:
-                    rec.append(str(row.type_id))
-                rec += [cells[n] for n in attr_names]
+                rec = [s.entity_id, str(row.type_id)] + [cells[n] for n in attr_names]
                 writer.writerow(rec)
 
 

@@ -45,7 +45,13 @@ def reset_clamp_count() -> None:
     _CLAMP_COUNT[0] = 0
 
 
-def _freq_features(v: np.ndarray, L: int) -> np.ndarray:
+def freq_encode(v: np.ndarray, L: int) -> np.ndarray:
+    """Interleaved (sin, cos) features of [0,1]-normalized values, along a
+    new last axis: (sin(2^0 pi v), cos(2^0 pi v), ..., sin(2^(L-1) pi v),
+    cos(2^(L-1) pi v)). Values outside [0,1] are clamped (counted, see
+    clamp_count)."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
     v = np.asarray(v, dtype=np.float64)
     bad = int(np.sum((v < 0.0) | (v > 1.0)))
     if bad:
@@ -57,15 +63,6 @@ def _freq_features(v: np.ndarray, L: int) -> np.ndarray:
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
     return out
-
-
-def freq_encode(v_norm: float, L: int) -> np.ndarray:
-    """Interleaved (sin, cos) features of a [0,1]-normalized scalar:
-    (sin(2^0 pi v), cos(2^0 pi v), ..., sin(2^(L-1) pi v), cos(2^(L-1) pi v)).
-    Values outside [0,1] are clamped (counted, see clamp_count)."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    return _freq_features(np.asarray(float(v_norm)), L)
 
 
 # ---------------------------------------------------------------------------
@@ -255,38 +252,39 @@ class EmbeddingBank:
 
 
 def build_bank(schema: Schema, d: int, m: int, L: int, numeric_input: str,
-               rng: np.random.Generator,
-               init_std: float = 0.02) -> tuple[EmbeddingBank, dict[str, Tensor]]:
-    """Create embedding parameters for an expanded schema. Returns the bank
-    and a name -> parameter mapping (names are checkpoint keys)."""
+               rng: np.random.Generator) -> tuple[EmbeddingBank, dict[str, Tensor]]:
+    """Create embedding parameters for an expanded schema, drawn from
+    N(0, 0.02^2) (biases zero). Returns the bank and a name -> parameter
+    mapping (names are checkpoint keys)."""
     if numeric_input not in ("frequency", "binned"):
         raise ValueError(f"unknown numeric_input {numeric_input!r}")
+    std = 0.02
     params: dict[str, Tensor] = {}
     bank = EmbeddingBank(d=d, L=L, numeric_input=numeric_input, cat_tables={})
     for name in sorted(schema.attributes):
         spec = schema.attributes[name]
         if spec.kind == CATEGORICAL:
-            t = Tensor(rng.normal(0.0, init_std, size=(len(spec.vocab), d)), requires_grad=True)
+            t = Tensor(rng.normal(0.0, std, size=(len(spec.vocab), d)), requires_grad=True)
             if np.unique(t.data, axis=0).shape[0] != t.shape[0]:
                 raise AssertionError(f"embedding table rows for {name!r} are not distinct")
             bank.cat_tables[name] = t
             params[f"embed.cat.{name}.table"] = t
         elif spec.kind == NUMERICAL:
             if numeric_input == "frequency":
-                w = Tensor(rng.normal(0.0, init_std, size=(2 * L, d)), requires_grad=True)
+                w = Tensor(rng.normal(0.0, std, size=(2 * L, d)), requires_grad=True)
                 b = Tensor(np.zeros(d), requires_grad=True)
                 bank.num_proj[name] = (w, b)
                 params[f"embed.num.{name}.weight"] = w
                 params[f"embed.num.{name}.bias"] = b
             else:
-                t = Tensor(rng.normal(0.0, init_std, size=(spec.n_bins, d)), requires_grad=True)
+                t = Tensor(rng.normal(0.0, std, size=(spec.n_bins, d)), requires_grad=True)
                 bank.num_tables[name] = t
                 params[f"embed.num.{name}.table"] = t
         else:
             raise SchemaError("expand_schema must run before building the bank")
-    bank.mask_vec = Tensor(rng.normal(0.0, init_std, size=(d,)), requires_grad=True)
-    bank.missing_vec = Tensor(rng.normal(0.0, init_std, size=(d,)), requires_grad=True)
-    bank.cls_vec = Tensor(rng.normal(0.0, init_std, size=(1, m)), requires_grad=True)
+    bank.mask_vec = Tensor(rng.normal(0.0, std, size=(d,)), requires_grad=True)
+    bank.missing_vec = Tensor(rng.normal(0.0, std, size=(d,)), requires_grad=True)
+    bank.cls_vec = Tensor(rng.normal(0.0, std, size=(1, m)), requires_grad=True)
     params["embed.mask"] = bank.mask_vec
     params["embed.missing"] = bank.missing_vec
     params["embed.cls"] = bank.cls_vec
@@ -320,7 +318,7 @@ def embed_slot_batch(bank: EmbeddingBank, spec: AttributeSpec, ids: np.ndarray,
     else:
         safe = np.where(np.isfinite(vals), vals, 0.5 * sum(spec.value_range))
         if bank.numeric_input == "frequency":
-            feats = Tensor(_freq_features(normalize_numeric(safe, spec), bank.L))
+            feats = Tensor(freq_encode(normalize_numeric(safe, spec), bank.L))
             w, b = bank.num_proj[spec.name]
             raw = matmul(feats, w) + b
         else:

@@ -26,7 +26,8 @@ def rmse(pred, target) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def _confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
+def confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of 0/1 predictions against 0/1 truth."""
     p = np.asarray(pred_labels).astype(int)
     t = np.asarray(true_labels).astype(int)
     if p.size == 0 or p.shape != t.shape:
@@ -39,7 +40,7 @@ def _confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
 
 
 def f1(pred_labels, true_labels) -> float:
-    tp, fp, fn, _ = _confusion(pred_labels, true_labels)
+    tp, fp, fn, _ = confusion(pred_labels, true_labels)
     if tp + fp == 0 or tp + fn == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -98,17 +99,6 @@ def average_precision(scores, true_labels) -> float:
             tp += 1
             total += tp / rank
     return float(total / n_pos)
-
-
-def sweep_thresholds(scores, true_labels, n: int = 101) -> list[dict]:
-    """F1/accuracy at evenly spaced probability thresholds."""
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(true_labels).astype(int)
-    out = []
-    for thr in np.linspace(0.0, 1.0, n):
-        pred = (s > thr).astype(int)
-        out.append({"threshold": float(thr), "f1": f1(pred, t), "accuracy": accuracy(pred, t)})
-    return out
 
 
 @dataclass

@@ -206,16 +206,14 @@ class Model:
 
     # -- parameter plumbing
 
-    def _param(self, name: str, shape, rng, std: float | None = None,
-               zero: bool = False, one: bool = False) -> Tensor:
+    def _param(self, name: str, shape, rng, zero: bool = False, one: bool = False) -> Tensor:
         if zero:
             data = np.zeros(shape)
         elif one:
             data = np.ones(shape)
-        else:
-            if std is None:  # Xavier for dense maps, small-normal for tables
-                std = (np.sqrt(2.0 / (shape[0] + shape[1]))
-                       if len(shape) == 2 and "table" not in name else 0.02)
+        else:  # Xavier for dense maps, small-normal for tables
+            std = (np.sqrt(2.0 / (shape[0] + shape[1]))
+                   if len(shape) == 2 and "table" not in name else 0.02)
             data = rng.normal(0.0, std, size=shape)
         t = Tensor(data, requires_grad=True)
         self.params[name] = t
@@ -310,44 +308,31 @@ class Model:
     # -- the four architectural operations
 
     def field_forward(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
-        """Encode one row's field embeddings (k, d) or a batch (R, k, d).
-        No positional encoding: the stack is permutation-equivariant."""
-        single = x.ndim == 2
-        if single:
-            x = reshape(x, (1,) + x.shape)
-        out = self._encoder("field", self.config.field_layers, self.config.field_heads,
-                            x, None, rng, training)
-        return reshape(out, out.shape[1:]) if single else out
+        """Encode a batch of rows' field embeddings (R, k, d). No positional
+        encoding: the stack is permutation-equivariant."""
+        return self._encoder("field", self.config.field_layers, self.config.field_heads,
+                             x, None, rng, training)
 
     def project_row(self, field_out: Tensor, h: int) -> Tensor:
-        """Flatten (.., k_h, d) in attribute order and apply W_h: -> (.., m)."""
+        """Flatten (R, k_h, d) in attribute order and apply W_h: -> (R, m)."""
         rt = self.schema.row_type(h)
         if field_out.shape[-2] != rt.arity:
             raise ModelError(f"row type {h} expects {rt.arity} fields, got {field_out.shape[-2]}")
-        w = self.params[f"proj.W.{h}"]
-        single = field_out.ndim == 2
-        flat = reshape(field_out, (1, -1) if single else (field_out.shape[0], -1))
-        out = matmul(flat, transpose(w))
-        return reshape(out, (self.config.m,)) if single else out
+        flat = reshape(field_out, (field_out.shape[0], -1))
+        return matmul(flat, transpose(self.params[f"proj.W.{h}"]))
 
     def unproject_row(self, z: Tensor, h: int) -> Tensor:
-        """Apply S_h and reshape to (.., k_h, d) per-field slices."""
+        """Apply S_h to (R, m) and reshape to (R, k_h, d) per-field slices."""
         rt = self.schema.row_type(h)
-        s = self.params[f"proj.S.{h}"]
-        single = z.ndim == 1
-        zz = reshape(z, (1, -1)) if single else z
-        out = matmul(zz, transpose(s))
-        shape = (rt.arity, self.config.d) if single else (zz.shape[0], rt.arity, self.config.d)
-        return reshape(out, shape)
+        out = matmul(z, transpose(self.params[f"proj.S.{h}"]))
+        return reshape(out, (z.shape[0], rt.arity, self.config.d))
 
     def sequence_forward(self, row_vectors: Tensor, pad_mask=None, rng=None,
                          training: bool = False, with_cls: bool = False) -> Tensor:
         """Sequence encoder with learned positions. Row i always sits at
         position i+1; position 0 is reserved for [CLS] (present iff
-        with_cls). Padded slots are excluded from attention and zeroed."""
-        single = row_vectors.ndim == 2
-        if single:
-            row_vectors = reshape(row_vectors, (1,) + row_vectors.shape)
+        with_cls). Padded slots are excluded from attention and zeroed.
+        `row_vectors` is (B, T, m)."""
         b, t, m = row_vectors.shape
         n_rows = t - 1 if with_cls else t
         if n_rows > self.config.t_max:
@@ -364,8 +349,7 @@ class Model:
         add_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
         out = self._encoder("seq", self.config.seq_layers, self.config.seq_heads,
                             x, add_mask, rng, training)
-        out = out * Tensor(real[:, :, None].astype(np.float64))
-        return reshape(out, out.shape[1:]) if single else out
+        return out * Tensor(real[:, :, None].astype(np.float64))
 
     def _head(self, attr: str, x: Tensor) -> Tensor:
         h = gelu(matmul(x, self.params[f"heads.{attr}.w1"]) + self.params[f"heads.{attr}.b1"])

@@ -181,9 +181,6 @@ class Schema:
             raise SchemaError(f"unknown row type id {type_id}")
         return self.row_types[type_id - 1]
 
-    def attr(self, name: str) -> AttributeSpec:
-        return self.attributes[name]
-
     @functools.cached_property
     def slots(self) -> SlotTables:
         """Per-slot lookup tables, built on first use and kept on this schema."""
@@ -302,16 +299,9 @@ def validate(series: TimeSeries, schema: Schema) -> list[Violation]:
 # fitting and quantization
 
 
-def quantize(v: float, spec: AttributeSpec) -> int:
-    """Bin index of v under left-closed right-open bins with edge clamping."""
-    if spec.kind != NUMERICAL or spec.bin_edges is None:
-        raise SchemaError(f"quantize needs a fitted numerical attribute, got {spec.name!r} ({spec.kind})")
-    edges = np.asarray(spec.bin_edges)
-    i = int(np.searchsorted(edges, v, side="right")) - 1
-    return min(max(i, 0), spec.n_bins - 1)
-
-
 def quantize_array(vals: np.ndarray, spec: AttributeSpec) -> np.ndarray:
+    """Bin index of each value under left-closed right-open bins with edge
+    clamping."""
     if spec.kind != NUMERICAL or spec.bin_edges is None:
         raise SchemaError(f"quantize needs a fitted numerical attribute, got {spec.name!r} ({spec.kind})")
     edges = np.asarray(spec.bin_edges)

@@ -332,11 +332,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-    return _make(data, (a,), lambda g: _accum(a, g * (a.data > 0)))
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along `axis`; raises NumericError on non-finite input."""
     if not np.all(np.isfinite(a.data)):
@@ -352,16 +347,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(s, (a,), bw)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (1e-5 added to
+    the variance), then affine."""
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
     data = xhat * gamma.data + beta.data
 

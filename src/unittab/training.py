@@ -34,11 +34,12 @@ from .checkpoint import save_checkpoint
 from .data import WindowedSample, balance_upsample, random_crop
 from .embedding import EncodedRow, EncodedSeries
 from .metrics import (
-    EvalReport, UndefinedMetricError, accuracy, average_precision, f1, rmse, roc_auc,
+    EvalReport, UndefinedMetricError, accuracy, average_precision, confusion, f1, rmse,
+    roc_auc,
 )
-from .model import Model, PretrainOutput
+from .model import LengthError, Model, PretrainOutput
 from .schema import CATEGORICAL, Schema
-from .tensor import NumericError, Tensor, cross_entropy_soft, mean, softmax
+from .tensor import NumericError, Tensor, concat, cross_entropy_soft, mean, softmax
 
 
 class ConfigError(Exception):
@@ -56,8 +57,7 @@ class TrainConfig:
     timestamp_joint: bool = True
     epsilon: float = 0.1              # label smoothing mass
     neighborhood_radius: int = 5
-    loss_mode: str = "unified_ce"     # "unified_ce" | "regression_l2"
-    regression_weight: float = 50.0
+    regression_weight: float = 50.0   # MSE weight when numeric_target="scalar"
     lr: float = 5e-5
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
@@ -75,14 +75,8 @@ class TrainConfig:
             raise ConfigError("label smoothing epsilon must be in [0, 1)")
         if self.neighborhood_radius < 0:
             raise ConfigError("neighborhood radius must be >= 0")
-        if self.loss_mode not in ("unified_ce", "regression_l2"):
-            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
         if self.mask_variant not in ("pure", "bert_80_10_10"):
             raise ConfigError(f"unknown mask_variant {self.mask_variant!r}")
-
-    @classmethod
-    def full_preset(cls, **overrides) -> "TrainConfig":
-        return cls(batch_size=120, **overrides)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -143,7 +137,6 @@ class MaskedSample:
     epsilon: float                  # label smoothing mass for the targets
     neighborhood_radius: int
     source: list[EncodedRow] | None = None  # the untouched rows, kept when `rows` differs
-    entity: str = ""
 
 
 def apply_masking(sample, schema: Schema, cfg: TrainConfig,
@@ -181,9 +174,7 @@ def apply_masking(sample, schema: Schema, cfg: TrainConfig,
             rows, source = corrupted, rows
     ends = (starts + k).tolist()
     masks = [mask[a:b] for a, b in zip(starts.tolist(), ends)]
-    entity = getattr(sample, "entity_id", None) or getattr(sample, "source_entity", "")
-    return MaskedSample(rows, masks, targets, cfg.epsilon, cfg.neighborhood_radius,
-                        source, entity)
+    return MaskedSample(rows, masks, targets, cfg.epsilon, cfg.neighborhood_radius, source)
 
 
 def _corrupt_inputs(rows, mask, pos, targets, types, schema, rng):
@@ -253,17 +244,14 @@ def regression_loss(preds: Tensor, targets: np.ndarray, ce_loss: Tensor,
 
 
 def pretrain_loss(out: PretrainOutput, cfg: TrainConfig) -> Tensor:
+    """The masked-token objective the model's numeric head implies: cross
+    entropy over class and bin targets, plus the weighted MSE term over
+    scalar targets, which only a numeric_target="scalar" model emits."""
     ce = masked_token_loss(out.cat_groups)
-    if cfg.loss_mode == "unified_ce":
-        if out.reg_groups:
-            raise ConfigError("unified_ce needs a model with numeric_target='bins'")
+    if not out.reg_groups:
         return ce
-    preds = [p for _, p, _ in out.reg_groups]
-    targs = [t for _, _, t in out.reg_groups]
-    if not preds:
-        return ce
-    from .tensor import concat
-    return regression_loss(concat(preds, axis=0), np.concatenate(targs), ce,
+    return regression_loss(concat([p for _, p, _ in out.reg_groups], axis=0),
+                           np.concatenate([t for _, _, t in out.reg_groups]), ce,
                            cfg.regression_weight)
 
 
@@ -272,18 +260,17 @@ def pretrain_loss(out: PretrainOutput, cfg: TrainConfig) -> Tensor:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with bias correction. Decay skips the
-    names in `no_decay` (layer-norm gains/biases). Parameters without a
-    gradient are left untouched; a non-finite gradient aborts the step
-    before any parameter is mutated."""
+    """Decoupled-weight-decay Adam with bias correction and eps 1e-8.
+    Decay skips the names in `no_decay` (layer-norm gains/biases).
+    Parameters without a gradient are left untouched; a non-finite gradient
+    aborts the step before any parameter is mutated."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+                 betas: tuple[float, float] = (0.9, 0.999),
                  weight_decay: float = 0.01, no_decay: set[str] = frozenset()):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.no_decay = set(no_decay)
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -302,7 +289,7 @@ class AdamW:
             g = p.grad
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + 1e-8)
             if self.weight_decay and k not in self.no_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * update
@@ -315,7 +302,7 @@ class AdamW:
 class MetricsLog:
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "a") if path else None
+        self._fh = open(path, "w") if path else None
 
     def write(self, step: int, split: str, metric: str, value: float) -> None:
         if self._fh:
@@ -389,10 +376,6 @@ def pretrain(data: list[EncodedSeries], model: Model, cfg: TrainConfig,
     fresh random crop of every over-long series; steps with zero masked
     positions are skipped (loss 0). Periodic checkpoints survive aborts."""
     cfg.validate()
-    if cfg.loss_mode == "regression_l2" and model.config.numeric_target != "scalar":
-        raise ConfigError("regression_l2 pretraining needs numeric_target='scalar'")
-    if cfg.loss_mode == "unified_ce" and model.config.numeric_target != "bins":
-        raise ConfigError("unified_ce pretraining needs numeric_target='bins'")
     if cfg.p_f == 0.0 and cfg.p_r == 0.0:
         warnings.warn("p_f and p_r are both 0: nothing will be masked and the loss stays 0")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -414,8 +397,8 @@ def pretrain(data: list[EncodedSeries], model: Model, cfg: TrainConfig,
 
 
 def predict(model: Model, samples, task: str, batch_size: int = 64):
-    """Deterministic forward (dropout off). Returns predictions for
-    regression, (scores, labels) probabilities for binary."""
+    """Deterministic forward (dropout off). Returns one value per sample:
+    the prediction for regression, P(class 1) for binary."""
     preds = []
     for batch in _batched(samples, batch_size):
         out = model.finetune_forward(batch, rng=None, training=False)
@@ -435,10 +418,7 @@ def evaluate(model: Model, samples, task: str, batch_size: int = 64) -> EvalRepo
                           n_samples=len(samples))
     pred_labels = (scores > 0.5).astype(int)
     truth = labels.astype(int)
-    tp = int(np.sum((pred_labels == 1) & (truth == 1)))
-    fp = int(np.sum((pred_labels == 1) & (truth == 0)))
-    tn = int(np.sum((pred_labels == 0) & (truth == 0)))
-    fn = int(np.sum((pred_labels == 0) & (truth == 1)))
+    tp, fp, fn, tn = confusion(pred_labels, truth)
     return EvalReport(
         task="binary",
         metrics={
@@ -460,11 +440,11 @@ class FinetuneResult:
 
 
 def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainConfig,
-             freeze_backbone: bool = False, upsample: bool | None = None,
-             metrics_path=None) -> FinetuneResult:
+             freeze_backbone: bool = False, metrics_path=None) -> FinetuneResult:
     """Supervised fine-tuning through a [CLS] head: MSE for regression,
-    cross entropy for binary classification (positives upsampled to balance
-    by default). The backbone trains end-to-end unless frozen."""
+    cross entropy for binary classification with the positives upsampled
+    to balance. The backbone trains end-to-end unless frozen. Both splits
+    are checked before the task head is added or any step is taken."""
     cfg.validate()
     if task not in ("regression", "binary"):
         raise ConfigError(f"unknown task {task!r}")
@@ -473,16 +453,27 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
     if not train_samples:
         raise LabelError(f"{task} fine-tuning needs a nonempty training split")
     if task == "binary":
-        n_pos = sum(1 for s in test_samples if int(s.label) == 1)
+        for split, samples in (("training", train_samples), ("test", test_samples)):
+            bad = [s.label for s in samples if s.label not in (0, 1)]
+            if bad:
+                raise LabelError(f"binary fine-tuning needs labels 0 or 1; the {split} split "
+                                 f"has {len(bad)} other label(s), first {bad[0]!r}")
+        n_pos = sum(1 for s in test_samples if s.label == 1)
         if n_pos in (0, len(test_samples)):
             raise UndefinedMetricError(
                 f"binary evaluation needs both classes in the test split; it has "
                 f"{n_pos} positive and {len(test_samples) - n_pos} negative samples")
     elif not test_samples:
         raise UndefinedMetricError("regression evaluation needs a nonempty test split")
+    t_max = model.config.t_max
+    for split, samples in (("training", train_samples), ("test", test_samples)):
+        i = max(range(len(samples)), key=lambda j: len(samples[j].rows))
+        if len(samples[i].rows) > t_max:
+            raise LengthError(f"{split} sample {i} has {len(samples[i].rows)} rows, more than "
+                              f"the model's t_max={t_max}")
     model.ensure_task_head(task, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-    if task == "binary" and (upsample if upsample is not None else True):
+    if task == "binary":
         train_samples = balance_upsample(list(train_samples), rng)
     labels = np.asarray([s.label for s in train_samples], dtype=np.float64)
     label_mu, label_sd = 0.0, 1.0

@@ -165,12 +165,11 @@ def _pollution_task(seed):
     return expanded, [wins[i] for i in order[n_test:]], [wins[i] for i in order[:n_test]]
 
 
-def _pollution_run(seed, numeric_input, loss_mode):
+def _pollution_run(seed, numeric_input, numeric_target):
     expanded, train_w, test_w = _pollution_task(seed)
-    numeric_target = "scalar" if loss_mode == "regression_l2" else "bins"
     model = Model(ModelConfig.desk_preset(freq_count=6, t_max=10, numeric_input=numeric_input,
                                           numeric_target=numeric_target), expanded, seed=seed)
-    pre_cfg = TrainConfig(loss_mode=loss_mode, p_f=0.3, lr=2e-3, batch_size=16,
+    pre_cfg = TrainConfig(p_f=0.3, lr=2e-3, batch_size=16,
                           epochs=10_000, max_steps=250, seed=seed)
     pretrain(as_encoded_series(train_w), model, pre_cfg)
     ft_cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=10_000, max_steps=1000, seed=seed)
@@ -183,9 +182,9 @@ def test_criterion_07_directional_ablation():
     freq_wins = ce_wins = 0
     rows = []
     for seed in (0, 1, 2):
-        freq_ce = _pollution_run(seed, "frequency", "unified_ce")
-        binned_ce = _pollution_run(seed, "binned", "unified_ce")
-        freq_reg = _pollution_run(seed, "frequency", "regression_l2")
+        freq_ce = _pollution_run(seed, "frequency", "bins")
+        binned_ce = _pollution_run(seed, "binned", "bins")
+        freq_reg = _pollution_run(seed, "frequency", "scalar")
         freq_wins += freq_ce < binned_ce
         ce_wins += freq_ce < freq_reg
         rows.append(f"seed {seed}: freq+ce {freq_ce:.2f}, binned+ce {binned_ce:.2f}, "

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unittab.data import (
-    CsvSpec, FormatError, MultitypeConfig, ParseReport, PollutionConfig,
+    ENTITY_COLUMN, TYPE_COLUMN, FormatError, MultitypeConfig, ParseReport, PollutionConfig,
     gen_multitype_transactions, gen_pollution_like, read_csv, write_csv,
 )
 from unittab.embedding import expand_schema, prepare_series, split_timestamp
@@ -48,29 +48,29 @@ def _ref_vocab_index(spec, value):
         return len(spec.vocab) - 1
 
 
-def _ref_read_csv(path, schema, csv_spec=CsvSpec()):
+def _ref_read_csv(path, schema):
     report = ParseReport()
     applicable = Counter()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
-        if csv_spec.entity_column not in header:
-            raise FormatError(f"missing entity column {csv_spec.entity_column!r}")
+        if ENTITY_COLUMN not in header:
+            raise FormatError(f"missing entity column {ENTITY_COLUMN!r}")
         for name in schema.attributes:
             if name not in header:
                 raise FormatError(f"schema attribute {name!r} not found in CSV header")
         multi_type = schema.n_row_types > 1
-        if multi_type and (csv_spec.type_column is None or csv_spec.type_column not in header):
-            raise FormatError(f"missing row type column {csv_spec.type_column!r}")
+        if multi_type and TYPE_COLUMN not in header:
+            raise FormatError(f"missing row type column {TYPE_COLUMN!r}")
         by_entity = {}
         for rec in reader:
             report.rows += 1
-            entity = rec[csv_spec.entity_column]
-            if csv_spec.type_column and csv_spec.type_column in rec:
+            entity = rec[ENTITY_COLUMN]
+            if TYPE_COLUMN in rec:
                 try:
-                    type_id = int(rec[csv_spec.type_column])
+                    type_id = int(rec[TYPE_COLUMN])
                 except (TypeError, ValueError):
-                    raise FormatError(f"bad row type value {rec.get(csv_spec.type_column)!r}")
+                    raise FormatError(f"bad row type value {rec.get(TYPE_COLUMN)!r}")
             else:
                 type_id = 1
             rt = schema.row_type(type_id)

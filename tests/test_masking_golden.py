@@ -32,8 +32,7 @@ SETUPS = {
     "pollution": ("pollution", {}, {}),
     "multitype": ("multitype", {}, {}),
     "pollution_ts_split": ("pollution", {}, {"timestamp_joint": False}),
-    "multitype_regression": ("multitype", {"numeric_target": "scalar"},
-                             {"loss_mode": "regression_l2"}),
+    "multitype_regression": ("multitype", {"numeric_target": "scalar"}, {}),
 }
 
 

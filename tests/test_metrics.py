@@ -5,7 +5,7 @@ import pytest
 
 from unittab.metrics import (
     EvalReport, UndefinedMetricError, accuracy, average_precision, f1,
-    format_report_table, rmse, roc_auc, sweep_thresholds,
+    format_report_table, rmse, roc_auc,
 )
 
 
@@ -142,12 +142,6 @@ def test_roc_auc_reversal_identity_without_ties():
             continue
         scores = rng.permutation(np.linspace(0, 1, n))  # distinct
         assert abs(roc_auc(scores, labels) - (1.0 - roc_auc(-scores, labels))) < 1e-15
-
-
-def test_sweep_thresholds_contains_argmax_point():
-    rows = sweep_thresholds([0.2, 0.7, 0.9], [0, 1, 1], n=11)
-    mid = [r for r in rows if abs(r["threshold"] - 0.5) < 1e-12][0]
-    assert mid["f1"] == 1.0
 
 
 def test_eval_report_json_round_trip():

@@ -39,15 +39,15 @@ def test_field_forward_permutation_equivariant():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, model.config.d))
     perm = rng.permutation(5)
-    out = model.field_forward(Tensor(x)).data
-    out_perm = model.field_forward(Tensor(x[perm])).data
+    out = model.field_forward(Tensor(x[None]))[0].data
+    out_perm = model.field_forward(Tensor(x[None, perm]))[0].data
     assert np.max(np.abs(out_perm - out[perm])) <= 1e-12
 
 
 def test_field_forward_single_field():
     model, _ = tiny_model()
     x = np.random.default_rng(1).normal(size=(1, model.config.d))
-    out = model.field_forward(Tensor(x))
+    out = model.field_forward(Tensor(x[None]))[0]
     assert out.shape == (1, model.config.d)
     assert np.all(np.isfinite(out.data))
 
@@ -56,7 +56,7 @@ def test_field_forward_gradcheck():
     model, _ = tiny_model()
     rng = np.random.default_rng(2)
     w = rng.normal(size=(3, model.config.d))
-    x = Tensor(rng.normal(size=(3, model.config.d)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 3, model.config.d)), requires_grad=True)
     err = grad_check(lambda t: sum_(model.field_forward(t) * w), x)
     assert err < 1e-5
 
@@ -64,21 +64,21 @@ def test_field_forward_gradcheck():
 def test_project_row_zero_matrix():
     model, _ = tiny_model()
     model.params["proj.W.1"].data[:] = 0.0
-    out = model.project_row(Tensor(np.ones((5, model.config.d))), 1)
+    out = model.project_row(Tensor(np.ones((1, 5, model.config.d))), 1)[0]
     assert out.shape == (model.config.m,) and np.all(out.data == 0.0)
 
 
 def test_project_row_hand_arithmetic():
     model = numeric_pair_model(d=1, m=1)
     model.params["proj.W.1"].data = np.array([[1.0, 1.0]])
-    out = model.project_row(Tensor([[2.0], [3.0]]), 1)
+    out = model.project_row(Tensor([[[2.0], [3.0]]]), 1)[0]
     assert out.data.tolist() == [5.0]
 
 
 def test_project_row_type_isolation():
     model, batch, cfg = toy_setup(0)
     k1 = model.schema.row_type(1).arity
-    x1 = Tensor(np.random.default_rng(0).normal(size=(k1, model.config.d)))
+    x1 = Tensor(np.random.default_rng(0).normal(size=(1, k1, model.config.d)))
     before = model.project_row(x1, 1).data.copy()
     model.params["proj.W.2"].data += 10.0
     after = model.project_row(x1, 1).data
@@ -88,14 +88,14 @@ def test_project_row_type_isolation():
 def test_unproject_zero_matrix():
     model, _ = tiny_model()
     model.params["proj.S.1"].data[:] = 0.0
-    out = model.unproject_row(Tensor(np.ones(model.config.m)), 1)
+    out = model.unproject_row(Tensor(np.ones((1, model.config.m))), 1)[0]
     assert out.shape == (5, model.config.d) and np.all(out.data == 0.0)
 
 
 def test_unproject_hand_arithmetic():
     model = numeric_pair_model(d=1, m=1)
     model.params["proj.S.1"].data = np.array([[2.0], [3.0]])
-    out = model.unproject_row(Tensor([1.0]), 1)
+    out = model.unproject_row(Tensor([[1.0]]), 1)[0]
     assert out.data.tolist() == [[2.0], [3.0]]
 
 

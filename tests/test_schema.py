@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from unittab.schema import (
     AttributeSpec, Cat, DegenerateAttributeError, Missing, Row, Schema,
     SchemaError, Time, fit_bins, fit_schema,
-    fit_vocab, quantize, schema_from_json, schema_hash, schema_to_json, validate,
+    fit_vocab, quantize_array, schema_from_json, schema_hash, schema_to_json, validate,
     vocab_index, NUMERICAL,
 )
 from conftest import make_tiny_schema, make_tiny_series
@@ -50,23 +50,23 @@ def test_validate_unordered_timestamps():
 
 def test_quantize_examples():
     spec = AttributeSpec("x", NUMERICAL, bin_edges=[0.0, 1.0, 2.0, 3.0], value_range=(0.0, 3.0))
-    assert quantize(1.5, spec) == 1
-    assert quantize(-5.0, spec) == 0
-    assert quantize(3.0, spec) == 2
-    assert quantize(0.0, spec) == 0
+    assert quantize_array(1.5, spec) == 1
+    assert quantize_array(-5.0, spec) == 0
+    assert quantize_array(3.0, spec) == 2
+    assert quantize_array(0.0, spec) == 0
 
 
 def test_quantize_wrong_kind():
     spec = AttributeSpec("c", "categorical", vocab=["a", "OOV"])
     with pytest.raises(SchemaError):
-        quantize(1.0, spec)
+        quantize_array(1.0, spec)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_quantize_monotone(a, b):
     spec = AttributeSpec("x", NUMERICAL, bin_edges=[-2.0, -0.5, 0.5, 1.0, 2.5], value_range=(-2.0, 2.5))
     lo, hi = min(a, b), max(a, b)
-    assert quantize(lo, spec) <= quantize(hi, spec)
+    assert quantize_array(lo, spec) <= quantize_array(hi, spec)
 
 
 def test_fit_bins_1_to_100():
@@ -96,7 +96,7 @@ def test_fit_bins_quantile_balance():
     edges = fit_bins(values, q)
     spec = AttributeSpec("x", NUMERICAL, bin_edges=edges,
                          value_range=(float(values.min()), float(values.max())))
-    counts = np.bincount([quantize(v, spec) for v in values], minlength=q)
+    counts = np.bincount([quantize_array(v, spec) for v in values], minlength=q)
     n = len(values)
     assert all(n // q - 1 <= c <= -(-n // q) + 1 for c in counts)
 

@@ -6,7 +6,7 @@ import pytest
 from unittab.tensor import (
     GradTape, NumericError, ShapeError, Tensor, concat, cross_entropy_soft,
     dropout, embedding_gather, gelu, grad_check, layer_norm, matmul, mean,
-    relu, reshape, slice_, softmax, sum_, transpose,
+    reshape, slice_, softmax, sum_, transpose,
 )
 from unittab.verify import check_primitives
 
@@ -79,7 +79,7 @@ def test_layer_norm_constant_vector():
 
 
 def test_layer_norm_already_normalized():
-    out = layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+    out = layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
     assert np.allclose(out.data, [1.0, -1.0], atol=1e-6)
 
 
@@ -169,17 +169,6 @@ def test_grad_check_quadratic():
     x.zero_grad()
     y.backward()
     assert np.allclose(x.grad, [2.0, 4.0])
-
-
-def test_grad_check_flags_nonsmooth_point():
-    # |x| with the kink inside the difference stencil: the analytic
-    # subgradient is sign(x) but central differences report x/h, so the
-    # check fails loudly. At exactly 0 both sides degenerate to 0 and agree.
-    x = Tensor([5e-6], requires_grad=True)
-    err = grad_check(lambda t: sum_(relu(t) + relu(-t)), x, h=1e-5)
-    assert err > 0.1
-    x0 = Tensor([0.0], requires_grad=True)
-    assert grad_check(lambda t: sum_(relu(t) + relu(-t)), x0, h=1e-5) == 0.0
 
 
 def test_concat_slice_round_trip():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from unittab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from unittab.data import PollutionConfig, gen_pollution_like
 from unittab.embedding import prepare_series
 from unittab.metrics import UndefinedMetricError
-from unittab.model import Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets
+from unittab.model import (
+    LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
+)
 from unittab.tensor import NumericError, Tensor
 from unittab.training import (
-    AdamW, ConfigError, LabelError, TrainConfig, apply_masking, finetune,
+    AdamW, LabelError, TrainConfig, apply_masking, finetune,
     masked_token_loss, pretrain, regression_loss,
     smooth_categorical, smooth_neighborhood,
 )
@@ -392,22 +395,24 @@ def test_pretrain_decreases_loss_on_tiny_data():
     assert last < first
 
 
-def test_pretrain_loss_mode_requires_matching_head():
-    model, encoded = small_pretrain_setup()
-    cfg = TrainConfig(loss_mode="regression_l2")
-    with pytest.raises(ConfigError):
-        pretrain(encoded, model, cfg)
-    model2, encoded2 = small_pretrain_setup(numeric_target="scalar")
-    with pytest.raises(ConfigError):
-        pretrain(encoded2, model2, TrainConfig(loss_mode="unified_ce"))
-
-
 def test_pretrain_regression_mode_runs():
     model, encoded = small_pretrain_setup(numeric_target="scalar")
-    cfg = TrainConfig(loss_mode="regression_l2", p_f=0.5, lr=1e-3, epochs=2,
-                      batch_size=2, seed=2)
+    cfg = TrainConfig(p_f=0.5, lr=1e-3, epochs=2, batch_size=2, seed=2)
     result = pretrain(encoded, model, cfg)
     assert all(np.isfinite(l) for l in result.losses)
+
+
+def test_pretrain_metrics_file_holds_only_the_last_run(tmp_path):
+    log = tmp_path / "metrics.ndjson"
+    model, encoded = small_pretrain_setup()
+    pretrain(encoded, model, TrainConfig(p_f=0.3, epochs=3, batch_size=2, seed=0),
+             metrics_path=log)
+    model, encoded = small_pretrain_setup()
+    second = pretrain(encoded, model, TrainConfig(p_f=0.3, epochs=1, batch_size=2, seed=1),
+                      metrics_path=log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == list(range(second.steps))
+    assert [r["value"] for r in records] == second.losses
 
 
 def labeled_encoded(n=8, seed=0):
@@ -442,23 +447,32 @@ def test_finetune_binary_smoke():
     assert result.report.confusion is not None
 
 
-@pytest.mark.parametrize("test_labels", [[], [1, 1, 1], [0, 0]])
-def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_path):
-    expanded, encoded = labeled_encoded()
-    model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
-                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
-                  expanded, seed=0)
+def tiny_finetune_model(expanded):
+    return Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
+                             seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
+                 expanded, seed=0)
+
+
+def assert_finetune_fails_early(model, train, test, task, error, message, tmp_path):
+    """finetune raises `error` before it adds a task head or takes a step."""
     before = {k: p.data.copy() for k, p in model.params.items()}
-    test = encoded[6:6 + len(test_labels)]
-    for s, y in zip(test, test_labels):
-        s.label = y
     log = tmp_path / "metrics.ndjson"
-    with pytest.raises(UndefinedMetricError, match="both classes"):
-        finetune(encoded[:6], test, model, "binary", TrainConfig(epochs=2, batch_size=4),
+    with pytest.raises(error, match=message):
+        finetune(train, test, model, task, TrainConfig(epochs=2, batch_size=4),
                  metrics_path=log)
     assert not log.exists()  # no step ran, so nothing was logged
     assert model.params.keys() == before.keys()  # no task head was added
     assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
+
+
+@pytest.mark.parametrize("test_labels", [[], [1, 1, 1], [0, 0]])
+def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_path):
+    expanded, encoded = labeled_encoded()
+    test = encoded[6:6 + len(test_labels)]
+    for s, y in zip(test, test_labels):
+        s.label = y
+    assert_finetune_fails_early(tiny_finetune_model(expanded), encoded[:6], test, "binary",
+                                UndefinedMetricError, "both classes", tmp_path)
 
 
 @pytest.mark.parametrize("task, n_train, n_test, error, message", [
@@ -469,17 +483,27 @@ def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_p
 def test_finetune_empty_split_fails_before_training(task, n_train, n_test, error, message,
                                                      tmp_path):
     expanded, encoded = labeled_encoded()
-    model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
-                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
-                  expanded, seed=0)
-    before = {k: p.data.copy() for k, p in model.params.items()}
-    log = tmp_path / "metrics.ndjson"
-    with pytest.raises(error, match=message):
-        finetune(encoded[:n_train], encoded[6:6 + n_test], model, task,
-                 TrainConfig(epochs=2, batch_size=4), metrics_path=log)
-    assert not log.exists()  # no step ran, so nothing was logged
-    assert model.params.keys() == before.keys()  # no task head was added
-    assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
+    assert_finetune_fails_early(tiny_finetune_model(expanded), encoded[:n_train],
+                                encoded[6:6 + n_test], task, error, message, tmp_path)
+
+
+@pytest.mark.parametrize("split, label", [("training", 2), ("training", 0.5), ("test", 2)])
+def test_finetune_binary_label_outside_0_1_fails_before_training(split, label, tmp_path):
+    expanded, encoded = labeled_encoded()
+    train, test = encoded[:6], encoded[6:]
+    (train if split == "training" else test)[0].label = label
+    assert_finetune_fails_early(tiny_finetune_model(expanded), train, test, "binary",
+                                LabelError, f"labels 0 or 1; the {split} split", tmp_path)
+
+
+@pytest.mark.parametrize("split", ["training", "test"])
+def test_finetune_over_long_sample_fails_before_training(split, tmp_path):
+    expanded, encoded = labeled_encoded()
+    train, test = encoded[:6], encoded[6:]
+    sample = (train if split == "training" else test)[1]
+    sample.rows = sample.rows * 2  # 8 rows; the model's t_max is 6
+    assert_finetune_fails_early(tiny_finetune_model(expanded), train, test, "binary",
+                                LengthError, f"{split} sample 1 has 8 rows", tmp_path)
 
 
 def test_finetune_freeze_backbone_leaves_backbone_params():
@@ -580,6 +604,7 @@ def test_pretrain_abort_preserves_last_checkpoint(tmp_path):
 @pytest.mark.parametrize("which, key, value", [
     ("model", "norm_placement", "post"),
     ("train", "optimizer", "adamw"),
+    ("train", "loss_mode", "unified_ce"),
 ])
 def test_checkpoint_unknown_config_key_is_named(which, key, value, tmp_path, monkeypatch):
     model, _ = small_pretrain_setup()
