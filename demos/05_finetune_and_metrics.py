@@ -15,7 +15,7 @@ from unittab.data import (
 from unittab.embedding import prepare_series
 from unittab.metrics import format_report_table
 from unittab.model import Model, ModelConfig
-from unittab.training import TrainConfig, as_encoded_series, finetune, pretrain
+from unittab.training import TrainConfig, finetune, pretrain
 
 print("== regression on pollution-like windows ==")
 ds = gen_pollution_like(PollutionConfig(n_entities=24, rows_per_entity=100,
@@ -35,7 +35,7 @@ print(f"{len(train_w)} train / {len(test_w)} test windows, "
       f"label std {np.std([w.label for w in train_w]):.2f}")
 
 model = Model(ModelConfig.desk_preset(freq_count=6, t_max=10), expanded, seed=0)
-pretrain(as_encoded_series(train_w), model,
+pretrain(train_w, model,
          TrainConfig(p_f=0.3, lr=2e-3, batch_size=16, epochs=10_000, max_steps=150, seed=0))
 reg = finetune(train_w, test_w, model, "regression",
                TrainConfig(lr=1e-3, batch_size=16, epochs=10_000, max_steps=400, seed=0))

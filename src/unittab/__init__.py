@@ -15,13 +15,12 @@ from .schema import (
     schema_to_json, validate,
 )
 from .embedding import (
-    EmbeddingBank, expand_schema, expand_series, freq_encode, prepare_series,
-    split_timestamp,
+    expand_schema, expand_series, freq_encode, prepare_series, split_timestamp,
 )
 from .data import (
-    DatasetSplit, MultitypeConfig, PollutionConfig, WindowedSample,
-    balance_upsample, gen_multitype_transactions, gen_pollution_like, last_crop,
-    random_crop, read_csv, split_by_entity, window, write_csv,
+    DatasetSplit, MultitypeConfig, PollutionConfig, balance_upsample,
+    gen_multitype_transactions, gen_pollution_like, last_crop, random_crop, read_csv,
+    split_by_entity, window, write_csv,
 )
 from .model import Model, ModelConfig, expected_param_count
 from .training import (

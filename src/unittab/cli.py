@@ -121,13 +121,9 @@ def _load_task(cfg: dict):
         stride = int(data_cfg.get("window_stride", 10))
         if t > t_max:
             raise UsageError(f"window_t={t} exceeds the model's t_max={t_max}")
-        wins = labeled_windows(encoded, targets, t, stride)
-        rng = np.random.default_rng(np.random.SeedSequence([split_seed]))
-        order = rng.permutation(len(wins))
-        n_test = int(round(test_fraction * len(wins)))
-        test_w = [wins[i] for i in order[:n_test]]
-        train_w = [wins[i] for i in order[n_test:]]
-        return model, train_w, test_w, "regression"
+        split = split_by_entity(labeled_windows(encoded, targets, t, stride), test_fraction,
+                                split_seed)
+        return model, split.train, split.test, "regression"
     if labels is None:
         raise UsageError("binary fine-tuning needs labels.json next to data.csv")
     for s in encoded:

@@ -29,7 +29,7 @@ import numpy as np
 from .schema import (
     CATEGORICAL, NUMERICAL, TIMESTAMP,
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, Time, TimeSeries,
-    default_special_tokens, fit_bins, schema_to_json, vocab_index,
+    fit_bins, schema_to_json, vocab_index,
 )
 
 
@@ -42,14 +42,6 @@ class BalanceError(Exception):
 
 
 @dataclass
-class WindowedSample:
-    rows: list[Row]
-    source_entity: str
-    label: float | int | None = None
-    start: int = 0
-
-
-@dataclass
 class DatasetSplit:
     train: list[TimeSeries]
     test: list[TimeSeries]
@@ -57,7 +49,9 @@ class DatasetSplit:
 
 def split_by_entity(series_list: list[TimeSeries], test_fraction: float,
                     seed: int) -> DatasetSplit:
-    """Split with disjoint entity ids across the parts."""
+    """Seeded random split of items: round(test_fraction * n) of them go to
+    the test part. Entity ids come out disjoint across the parts when each
+    item is one entity's series."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     order = rng.permutation(len(series_list))
     n_test = int(round(test_fraction * len(series_list)))
@@ -65,42 +59,37 @@ def split_by_entity(series_list: list[TimeSeries], test_fraction: float,
                         test=[series_list[i] for i in order[:n_test]])
 
 
-def window(series: TimeSeries, t: int, stride: int) -> list[WindowedSample]:
+def window(series: TimeSeries, t: int, stride: int) -> list[TimeSeries]:
     """Fixed-length sliding windows starting at 0, stride, 2*stride, ...
     while start + t <= len(rows). Short series yield no windows."""
     if t < 1 or stride < 1:
         raise ValueError("t and stride must be >= 1")
-    out = []
-    for start in range(0, len(series.rows) - t + 1, stride):
-        out.append(WindowedSample(series.rows[start:start + t], series.entity_id,
-                                  label=series.label, start=start))
-    return out
+    return [TimeSeries(series.entity_id, series.rows[start:start + t], series.label, start)
+            for start in range(0, len(series.rows) - t + 1, stride)]
 
 
-def random_crop(series: TimeSeries, t_max: int, rng: np.random.Generator) -> WindowedSample:
+def random_crop(series: TimeSeries, t_max: int, rng: np.random.Generator) -> TimeSeries:
     """The whole series when it fits, else a uniformly random contiguous
     span of exactly t_max rows."""
     t_all = len(series.rows)
     if t_all == 0:
         raise ValueError("cannot crop an empty series")
     if t_all <= t_max:
-        return WindowedSample(list(series.rows), series.entity_id, label=series.label, start=0)
+        return TimeSeries(series.entity_id, list(series.rows), series.label)
     start = int(rng.integers(0, t_all - t_max + 1))
-    return WindowedSample(series.rows[start:start + t_max], series.entity_id,
-                          label=series.label, start=start)
+    return TimeSeries(series.entity_id, series.rows[start:start + t_max], series.label, start)
 
 
-def last_crop(series: TimeSeries, t_max: int) -> WindowedSample:
+def last_crop(series: TimeSeries, t_max: int) -> TimeSeries:
     """The last min(len(rows), t_max) rows, order preserved."""
     t_all = len(series.rows)
     if t_all == 0:
         raise ValueError("cannot crop an empty series")
     start = max(0, t_all - t_max)
-    return WindowedSample(series.rows[start:], series.entity_id, label=series.label, start=start)
+    return TimeSeries(series.entity_id, series.rows[start:], series.label, start)
 
 
-def balance_upsample(samples: list[WindowedSample],
-                     rng: np.random.Generator) -> list[WindowedSample]:
+def balance_upsample(samples: list[TimeSeries], rng: np.random.Generator) -> list[TimeSeries]:
     """Duplicate positives (with replacement) until they are as many as the
     negatives, then shuffle. Negatives pass through exactly."""
     pos = [s for s in samples if s.label]
@@ -388,14 +377,11 @@ def _pollution_target(temp: float, mean_gas3: float) -> float:
     return 10.0 + 12.0 * math.sin(1.5 * math.pi * temp) + 6.0 * math.cos(math.pi * mean_gas3)
 
 
-def _entity_rng(seed, index: int) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed.spawn(1)[0]
+def _entity_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), index]))
 
 
-def gen_pollution_like(config: PollutionConfig, rng) -> PollutionDataset:
-    seed = rng
+def gen_pollution_like(config: PollutionConfig, seed: int) -> PollutionDataset:
     param_rng = _entity_rng(seed, 1_000_000)
     n_attr = len(POLLUTION_NUMERIC)
     day_amp = param_rng.uniform(0.2, 0.8, size=n_attr)
@@ -454,12 +440,12 @@ def gen_pollution_like(config: PollutionConfig, rng) -> PollutionDataset:
     years = sorted({config.start_year + y for y in range(2)})
     attrs["timestamp"] = AttributeSpec("timestamp", TIMESTAMP, years=years, with_hour=True)
     row_type = RowTypeSpec(1, ["site"] + POLLUTION_NUMERIC + ["timestamp"])
-    schema = Schema(attrs, [row_type], default_special_tokens(attrs))
+    schema = Schema(attrs, [row_type])
     return PollutionDataset(series, schema, row_targets, config)
 
 
 def labeled_windows(series_list: list[TimeSeries], row_targets, t: int,
-                    stride: int) -> list[WindowedSample]:
+                    stride: int) -> list[TimeSeries]:
     """Sliding windows of every series, each labelled with the regression
     target of its last row; row_targets maps entity id -> per-row targets."""
     out = []
@@ -516,8 +502,7 @@ def _churn_score(rows: list[Row], amount_pos: int = 1, balance_pos: int = 2) -> 
             + w["log_amount_mean"] * (float(np.mean(np.log1p(amounts))) - 3.0))
 
 
-def gen_multitype_transactions(config: MultitypeConfig, rng) -> MultitypeDataset:
-    seed = rng
+def gen_multitype_transactions(config: MultitypeConfig, seed: int) -> MultitypeDataset:
     merchants = [f"merchant_{i:02d}" for i in range(24)]
     localities = [f"loc_{i:02d}" for i in range(12)]
     operators = [f"bank_{i}" for i in range(8)]
@@ -607,7 +592,7 @@ def gen_multitype_transactions(config: MultitypeConfig, rng) -> MultitypeDataset
         RowTypeSpec(2, generic + ["merchant", "locality", "terminal"]),
         RowTypeSpec(3, generic + ["operator", "fee"]),
     ]
-    schema = Schema(attrs, row_types, default_special_tokens(attrs))
+    schema = Schema(attrs, row_types)
     return MultitypeDataset(series, schema, oracle, config)
 
 
@@ -630,8 +615,7 @@ def flatten_to_single_type(series_list: list[TimeSeries], schema: Schema) -> tup
                 values[pos[name]] = v
             rows.append(Row(1, values))
         out.append(TimeSeries(s.entity_id, rows, s.label))
-    flat = Schema(dict(schema.attributes), [RowTypeSpec(1, union)],
-                  default_special_tokens(schema.attributes), version=schema.version)
+    flat = Schema(dict(schema.attributes), [RowTypeSpec(1, union)], version=schema.version)
     return out, flat
 
 

@@ -8,7 +8,8 @@ linearly projected to the field width d (config `numeric_input="frequency"`;
 `"binned"` looks up a per-bin table instead). Timestamps are split into
 categorical subfields (year/month/day and hour when present) before any of
 this happens. Masked positions use a single shared [MASK] vector; missing
-values a shared [MISSING] vector.
+values a shared [MISSING] vector. The parameters live in the model's one
+name -> Tensor registry, under the names `build_bank` gives them.
 
 `prepare_series` encodes raw rows without building expanded ones: the rows
 of each row type are stacked into one int64 id matrix, one float64 value
@@ -21,7 +22,7 @@ for one call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .schema import (
     CATEGORICAL, NUMERICAL, TIMESTAMP, OOV,
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, SchemaError, Time, TimeSeries,
-    default_special_tokens, quantize_array,
+    quantize_array,
 )
 from .tensor import Tensor, embedding_gather, matmul
 
@@ -117,7 +118,7 @@ def expand_schema(schema: Schema) -> Schema:
         for a in rt.attributes:
             names.extend(replacement.get(a, [a]))
         row_types.append(type(rt)(rt.type_id, names))
-    return Schema(attrs, row_types, default_special_tokens(attrs), version=schema.version)
+    return Schema(attrs, row_types, version=schema.version)
 
 
 def expand_series(series: TimeSeries, schema: Schema) -> TimeSeries:
@@ -150,13 +151,6 @@ class EncodedRow:
     cat_ids: np.ndarray    # int64 (k,), -1 where missing or numerical
     num_vals: np.ndarray   # float64 (k,), nan where missing or categorical
     is_missing: np.ndarray  # bool (k,)
-
-
-@dataclass
-class EncodedSeries:
-    entity_id: str
-    rows: list[EncodedRow]
-    label: float | int | None = None
 
 
 class _TimeCodes(dict):
@@ -214,10 +208,10 @@ def _encode_rows(rows: list[Row], rt: RowTypeSpec, raw_schema: Schema, k: int,
 
 
 def prepare_series(series_list: list[TimeSeries], raw_schema: Schema
-                   ) -> tuple[Schema, list[EncodedSeries]]:
+                   ) -> tuple[Schema, list[TimeSeries]]:
     """Expand timestamps and encode a whole dataset in one step: the rows
     of each row type are encoded together (see _encode_rows) and handed
-    back to their series in order."""
+    back to their series in order, as series of EncodedRows."""
     expanded = expand_schema(raw_schema)
     by_type: dict[int, list[Row]] = {}
     for s in series_list:
@@ -228,67 +222,49 @@ def prepare_series(series_list: list[TimeSeries], raw_schema: Schema
     encoded_rows = {h: iter(_encode_rows(rows, raw_schema.row_type(h), raw_schema,
                                          expanded.row_type(h).arity, time_codes))
                     for h, rows in by_type.items()}
-    encoded = [EncodedSeries(s.entity_id, [next(encoded_rows[r.type_id]) for r in s.rows],
-                             s.label)
+    encoded = [TimeSeries(s.entity_id, [next(encoded_rows[r.type_id]) for r in s.rows],
+                          s.label, s.start)
                for s in series_list]
     return expanded, encoded
 
 
 # ---------------------------------------------------------------------------
-# the embedding bank
-
-
-@dataclass
-class EmbeddingBank:
-    d: int
-    L: int
-    numeric_input: str                      # "frequency" | "binned"
-    cat_tables: dict[str, Tensor]           # attr -> (V_j, d)
-    num_proj: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)  # (2L, d), (d,)
-    num_tables: dict[str, Tensor] = field(default_factory=dict)               # (q, d)
-    mask_vec: Tensor | None = None          # (d,)
-    missing_vec: Tensor | None = None       # (d,)
-    cls_vec: Tensor | None = None           # (1, m), sequence level
+# embedding parameters
 
 
 def build_bank(schema: Schema, d: int, m: int, L: int, numeric_input: str,
-               rng: np.random.Generator) -> tuple[EmbeddingBank, dict[str, Tensor]]:
+               rng: np.random.Generator) -> dict[str, Tensor]:
     """Create embedding parameters for an expanded schema, drawn from
-    N(0, 0.02^2) (biases zero). Returns the bank and a name -> parameter
-    mapping (names are checkpoint keys)."""
+    N(0, 0.02^2) (biases zero), as a name -> parameter mapping (names are
+    checkpoint keys): per attribute in name order `embed.cat.<a>.table`
+    (V_j, d), `embed.num.<a>.weight` (2L, d) and `.bias` (d,) for frequency
+    input or `embed.num.<a>.table` (q, d) for binned input; then
+    `embed.mask` (d,), `embed.missing` (d,) and the sequence-level
+    `embed.cls` (1, m)."""
     if numeric_input not in ("frequency", "binned"):
         raise ValueError(f"unknown numeric_input {numeric_input!r}")
     std = 0.02
     params: dict[str, Tensor] = {}
-    bank = EmbeddingBank(d=d, L=L, numeric_input=numeric_input, cat_tables={})
     for name in sorted(schema.attributes):
         spec = schema.attributes[name]
         if spec.kind == CATEGORICAL:
             t = Tensor(rng.normal(0.0, std, size=(len(spec.vocab), d)), requires_grad=True)
             if np.unique(t.data, axis=0).shape[0] != t.shape[0]:
                 raise AssertionError(f"embedding table rows for {name!r} are not distinct")
-            bank.cat_tables[name] = t
             params[f"embed.cat.{name}.table"] = t
         elif spec.kind == NUMERICAL:
             if numeric_input == "frequency":
-                w = Tensor(rng.normal(0.0, std, size=(2 * L, d)), requires_grad=True)
-                b = Tensor(np.zeros(d), requires_grad=True)
-                bank.num_proj[name] = (w, b)
-                params[f"embed.num.{name}.weight"] = w
-                params[f"embed.num.{name}.bias"] = b
+                params[f"embed.num.{name}.weight"] = Tensor(
+                    rng.normal(0.0, std, size=(2 * L, d)), requires_grad=True)
+                params[f"embed.num.{name}.bias"] = Tensor(np.zeros(d), requires_grad=True)
             else:
-                t = Tensor(rng.normal(0.0, std, size=(spec.n_bins, d)), requires_grad=True)
-                bank.num_tables[name] = t
-                params[f"embed.num.{name}.table"] = t
+                params[f"embed.num.{name}.table"] = Tensor(
+                    rng.normal(0.0, std, size=(spec.n_bins, d)), requires_grad=True)
         else:
             raise SchemaError("expand_schema must run before building the bank")
-    bank.mask_vec = Tensor(rng.normal(0.0, std, size=(d,)), requires_grad=True)
-    bank.missing_vec = Tensor(rng.normal(0.0, std, size=(d,)), requires_grad=True)
-    bank.cls_vec = Tensor(rng.normal(0.0, std, size=(1, m)), requires_grad=True)
-    params["embed.mask"] = bank.mask_vec
-    params["embed.missing"] = bank.missing_vec
-    params["embed.cls"] = bank.cls_vec
-    return bank, params
+    for name, shape in (("mask", (d,)), ("missing", (d,)), ("cls", (1, m))):
+        params[f"embed.{name}"] = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+    return params
 
 
 def normalize_numeric(vals: np.ndarray, spec: AttributeSpec) -> np.ndarray:
@@ -300,28 +276,31 @@ def normalize_numeric(vals: np.ndarray, spec: AttributeSpec) -> np.ndarray:
     return (vals - lo) / (hi - lo)
 
 
-def embed_slot_batch(bank: EmbeddingBank, spec: AttributeSpec, ids: np.ndarray,
+def embed_slot_batch(params: dict[str, Tensor], spec: AttributeSpec, ids: np.ndarray,
                      vals: np.ndarray, missing: np.ndarray, masked: np.ndarray) -> Tensor:
-    """Embed one attribute slot across a batch of same-type rows.
+    """Embed one attribute slot across a batch of same-type rows, reading
+    the parameters by the names `build_bank` gives them. A numerical
+    attribute is binned when its `.table` exists; otherwise its frequency
+    count L is half the rows of its `.weight`.
 
     Masked positions get the [MASK] vector, missing unmasked positions the
     [MISSING] vector; blending uses exact 0/1 weights so unselected branches
     contribute nothing to values or gradients.
     """
-    r = len(missing)
     w_mask = masked.astype(np.float64)[:, None]
     w_miss = (missing & ~masked).astype(np.float64)[:, None]
     w_keep = ((~missing) & (~masked)).astype(np.float64)[:, None]
     if spec.kind == CATEGORICAL:
         safe = np.where(ids < 0, 0, ids)
-        raw = embedding_gather(bank.cat_tables[spec.name], safe)
+        raw = embedding_gather(params[f"embed.cat.{spec.name}.table"], safe)
     else:
         safe = np.where(np.isfinite(vals), vals, 0.5 * sum(spec.value_range))
-        if bank.numeric_input == "frequency":
-            feats = Tensor(freq_encode(normalize_numeric(safe, spec), bank.L))
-            w, b = bank.num_proj[spec.name]
-            raw = matmul(feats, w) + b
+        table = params.get(f"embed.num.{spec.name}.table")
+        if table is not None:
+            raw = embedding_gather(table, quantize_array(safe, spec))
         else:
-            raw = embedding_gather(bank.num_tables[spec.name], quantize_array(safe, spec))
-    return raw * w_keep + bank.missing_vec * w_miss + bank.mask_vec * w_mask
+            w = params[f"embed.num.{spec.name}.weight"]
+            feats = Tensor(freq_encode(normalize_numeric(safe, spec), w.shape[0] // 2))
+            raw = matmul(feats, w) + params[f"embed.num.{spec.name}.bias"]
+    return raw * w_keep + params["embed.missing"] * w_miss + params["embed.mask"] * w_mask
 

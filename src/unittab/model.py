@@ -180,10 +180,8 @@ class Model:
         self.no_decay: set[str] = set()
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
-        self.bank, bank_params = build_bank(
-            schema, config.d, config.m, config.freq_count,
-            config.numeric_input, rng)
-        self.params.update(bank_params)
+        self.params.update(build_bank(schema, config.d, config.m, config.freq_count,
+                                      config.numeric_input, rng))
 
         self._init_encoder("field", config.d, config.field_layers, rng)
         for rt in schema.row_types:
@@ -374,7 +372,7 @@ class Model:
                 maskf = np.stack([masks_by_sample[b][i] for b, i in members])
             slots = []
             for s, name in enumerate(rt.attributes):
-                e = embed_slot_batch(self.bank, self.schema.attributes[name],
+                e = embed_slot_batch(self.params, self.schema.attributes[name],
                                      ids[:, s], vals[:, s], miss[:, s], maskf[:, s])
                 slots.append(reshape(e, (r, 1, self.config.d)))
             x = self.field_forward(concat(slots, axis=1), rng, training)
@@ -462,7 +460,7 @@ class Model:
             raise LengthError(f"sequence length {t} exceeds t_max={self.config.t_max}")
         proj, layout = self._project_rows(rows_by_sample, None, rng, training)
         seq, real = self._assemble_sequence(proj, layout)
-        cls = reshape(embedding_gather(self.bank.cls_vec, np.zeros(b, dtype=np.int64)),
+        cls = reshape(embedding_gather(self.params["embed.cls"], np.zeros(b, dtype=np.int64)),
                       (b, 1, self.config.m))
         seq = concat([cls, seq], axis=1)
         real = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,22 +130,10 @@ class RowTypeSpec:
         return len(self.attributes)
 
 
-@dataclass(frozen=True)
-class SpecialTokens:
-    mask: int
-    cls: int
-    missing: int
-    pad: int
-
-    def as_tuple(self):
-        return (self.mask, self.cls, self.missing, self.pad)
-
-
 @dataclass
 class Schema:
     attributes: dict[str, AttributeSpec]
     row_types: list[RowTypeSpec]
-    special_tokens: SpecialTokens
     version: int = 1
 
     def __post_init__(self):
@@ -158,19 +146,6 @@ class Schema:
             for a in rt.attributes:
                 if a not in self.attributes:
                     raise SchemaError(f"row type {rt.type_id} references unknown attribute {a!r}")
-        if len(set(self.special_tokens.as_tuple())) != 4:
-            raise SchemaError("special token ids must be distinct")
-        top = max((self._value_space(a) for a in self.attributes.values()), default=0)
-        if min(self.special_tokens.as_tuple()) < top:
-            raise SchemaError("special token ids must lie outside every attribute vocabulary range")
-
-    @staticmethod
-    def _value_space(spec: AttributeSpec) -> int:
-        if spec.kind == CATEGORICAL and spec.vocab is not None:
-            return len(spec.vocab)
-        if spec.kind == NUMERICAL and spec.bin_edges is not None:
-            return spec.n_bins
-        return 0
 
     @property
     def n_row_types(self) -> int:
@@ -224,11 +199,6 @@ class SlotTables:
         return cls(names, arity, attr_id, unit, n_units)
 
 
-def default_special_tokens(attributes: dict[str, AttributeSpec]) -> SpecialTokens:
-    base = max((Schema._value_space(a) for a in attributes.values()), default=0)
-    return SpecialTokens(mask=base, cls=base + 1, missing=base + 2, pad=base + 3)
-
-
 # ---------------------------------------------------------------------------
 # rows and series
 
@@ -241,9 +211,14 @@ class Row:
 
 @dataclass
 class TimeSeries:
+    """The ordered rows of one entity, or a contiguous cut of them. `rows`
+    hold raw `Row`s as read, or `EncodedRow`s once `prepare_series` has
+    encoded them. `start` is the index the first row had in the series this
+    one was cut from (0 for a whole series)."""
     entity_id: str
-    rows: list[Row]
+    rows: list
     label: float | int | None = None
+    start: int = 0
 
 
 @dataclass
@@ -368,7 +343,7 @@ def fit_schema(series_list: list[TimeSeries], schema: Schema, q: int = 100) -> S
                 name, TIMESTAMP, years=sorted(ts_years[name]), with_hour=ts_hour[name])
         else:
             attrs[name] = spec
-    return Schema(attrs, schema.row_types, default_special_tokens(attrs), version=schema.version)
+    return Schema(attrs, schema.row_types, version=schema.version)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +372,6 @@ def schema_to_dict(schema: Schema) -> dict:
         "version": schema.version,
         "attributes": attrs,
         "row_types": [{"type_id": rt.type_id, "attributes": rt.attributes} for rt in schema.row_types],
-        "special_tokens": {
-            "mask": schema.special_tokens.mask,
-            "cls": schema.special_tokens.cls,
-            "missing": schema.special_tokens.missing,
-            "pad": schema.special_tokens.pad,
-        },
     }
 
 
@@ -419,11 +388,9 @@ def schema_from_dict(d: dict) -> Schema:
             with_hour=e.get("with_hour", False),
             group=e.get("group"),
         )
-    st = d["special_tokens"]
     return Schema(
         attributes=attrs,
         row_types=[RowTypeSpec(rt["type_id"], list(rt["attributes"])) for rt in d["row_types"]],
-        special_tokens=SpecialTokens(st["mask"], st["cls"], st["missing"], st["pad"]),
         version=d.get("version", 1),
     )
 

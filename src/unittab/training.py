@@ -31,14 +31,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import WindowedSample, balance_upsample, random_crop
-from .embedding import EncodedRow, EncodedSeries
+from .data import balance_upsample, random_crop
+from .embedding import EncodedRow
 from .metrics import (
     EvalReport, UndefinedMetricError, accuracy, average_precision, confusion, f1, rmse,
     roc_auc,
 )
 from .model import LengthError, Model, PretrainOutput
-from .schema import CATEGORICAL, Schema
+from .schema import CATEGORICAL, Schema, TimeSeries
 from .tensor import NumericError, Tensor, concat, cross_entropy_soft, mean, softmax
 
 
@@ -364,17 +364,12 @@ class PretrainResult:
     optimizer: AdamW
 
 
-def as_encoded_series(windows: list[WindowedSample]) -> list[EncodedSeries]:
-    """Treat fixed windows as independent pretraining series."""
-    return [EncodedSeries(f"{w.source_entity}:{w.start}", list(w.rows), w.label)
-            for w in windows]
-
-
-def pretrain(data: list[EncodedSeries], model: Model, cfg: TrainConfig,
+def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
              metrics_path=None, checkpoint_path=None) -> PretrainResult:
-    """Masked-token pretraining. Each epoch reshuffles entities and takes a
-    fresh random crop of every over-long series; steps with zero masked
-    positions are skipped (loss 0). Periodic checkpoints survive aborts."""
+    """Masked-token pretraining on encoded series (whole series or windows
+    cut from them). Each epoch reshuffles the series and takes a fresh
+    random crop of every over-long one; steps with zero masked positions
+    are skipped (loss 0). Periodic checkpoints survive aborts."""
     cfg.validate()
     if cfg.p_f == 0.0 and cfg.p_r == 0.0:
         warnings.warn("p_f and p_r are both 0: nothing will be masked and the loss stays 0")
@@ -410,7 +405,18 @@ def predict(model: Model, samples, task: str, batch_size: int = 64):
     return np.asarray(preds)
 
 
+def _check_binary_labels(samples, split: str) -> None:
+    """Raise LabelError unless every label of `samples` is 0 or 1; `split`
+    names the samples in the message."""
+    bad = [s.label for s in samples if s.label not in (0, 1)]
+    if bad:
+        raise LabelError(f"binary tasks need labels 0 or 1; the {split} split has "
+                         f"{len(bad)} other label(s), first {bad[0]!r}")
+
+
 def evaluate(model: Model, samples, task: str, batch_size: int = 64) -> EvalReport:
+    if task == "binary":
+        _check_binary_labels(samples, "test")
     labels = np.asarray([s.label for s in samples], dtype=np.float64)
     scores = predict(model, samples, task, batch_size)
     if task == "regression":
@@ -453,11 +459,8 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
     if not train_samples:
         raise LabelError(f"{task} fine-tuning needs a nonempty training split")
     if task == "binary":
-        for split, samples in (("training", train_samples), ("test", test_samples)):
-            bad = [s.label for s in samples if s.label not in (0, 1)]
-            if bad:
-                raise LabelError(f"binary fine-tuning needs labels 0 or 1; the {split} split "
-                                 f"has {len(bad)} other label(s), first {bad[0]!r}")
+        _check_binary_labels(train_samples, "training")
+        _check_binary_labels(test_samples, "test")
         n_pos = sum(1 for s in test_samples if s.label == 1)
         if n_pos in (0, len(test_samples)):
             raise UndefinedMetricError(

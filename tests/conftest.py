@@ -4,7 +4,6 @@ import pytest
 from unittab.schema import (
     CATEGORICAL, NUMERICAL, TIMESTAMP,
     AttributeSpec, Cat, Num, Row, RowTypeSpec, Schema, Time, TimeSeries,
-    default_special_tokens,
 )
 
 
@@ -21,7 +20,7 @@ def make_tiny_schema() -> Schema:
         "timestamp": AttributeSpec("timestamp", TIMESTAMP, years=[2021, 2022], with_hour=False),
     }
     row_types = [RowTypeSpec(1, ["timestamp", "color", "amount"])]
-    return Schema(attrs, row_types, default_special_tokens(attrs))
+    return Schema(attrs, row_types)
 
 
 def make_tiny_series(entity="e0", n_rows=4) -> TimeSeries:

@@ -20,7 +20,7 @@ from unittab.metrics import accuracy, average_precision, f1, roc_auc
 from unittab.model import Model, ModelConfig
 from unittab.tensor import Tensor
 from unittab.training import (
-    TrainConfig, apply_masking, as_encoded_series, finetune, pretrain,
+    TrainConfig, apply_masking, finetune, pretrain,
     smooth_categorical, smooth_neighborhood,
 )
 from unittab.verify import check_model, check_primitives
@@ -171,7 +171,7 @@ def _pollution_run(seed, numeric_input, numeric_target):
                                           numeric_target=numeric_target), expanded, seed=seed)
     pre_cfg = TrainConfig(p_f=0.3, lr=2e-3, batch_size=16,
                           epochs=10_000, max_steps=250, seed=seed)
-    pretrain(as_encoded_series(train_w), model, pre_cfg)
+    pretrain(train_w, model, pre_cfg)
     ft_cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=10_000, max_steps=1000, seed=seed)
     return finetune(train_w, test_w, model, "regression", ft_cfg).report.metrics["rmse"]
 

@@ -4,11 +4,11 @@ from scipy.stats import chisquare
 
 from unittab.data import (
     BalanceError, FormatError, MultitypeConfig, PollutionConfig,
-    WindowedSample, balance_upsample, gen_multitype_transactions,
+    balance_upsample, gen_multitype_transactions,
     gen_pollution_like, labeled_windows, last_crop, pollution_oracle,
     random_crop, read_csv, split_by_entity, window, write_csv,
 )
-from unittab.schema import Missing, Num, Row, validate
+from unittab.schema import Missing, Num, Row, TimeSeries, validate
 from conftest import make_tiny_schema, make_tiny_series
 
 
@@ -75,9 +75,9 @@ def test_last_crop():
 def _samples(n_pos, n_neg):
     out = []
     for i in range(n_pos):
-        out.append(WindowedSample([], f"p{i}", label=1))
+        out.append(TimeSeries(f"p{i}", [], label=1))
     for i in range(n_neg):
-        out.append(WindowedSample([], f"n{i}", label=0))
+        out.append(TimeSeries(f"n{i}", [], label=0))
     return out
 
 
@@ -90,14 +90,14 @@ def test_balance_upsample_counts():
 def test_balance_upsample_already_balanced():
     src = _samples(3, 3)
     out = balance_upsample(src, np.random.default_rng(0))
-    assert sorted(s.source_entity for s in out) == sorted(s.source_entity for s in src)
+    assert sorted(s.entity_id for s in out) == sorted(s.entity_id for s in src)
 
 
 def test_balance_upsample_preserves_negatives_exactly():
     src = _samples(1, 5)
     out = balance_upsample(src, np.random.default_rng(0))
-    assert sorted(s.source_entity for s in out if not s.label) == \
-        sorted(s.source_entity for s in src if not s.label)
+    assert sorted(s.entity_id for s in out if not s.label) == \
+        sorted(s.entity_id for s in src if not s.label)
 
 
 def test_balance_upsample_single_class_errors():

@@ -17,18 +17,17 @@ SQ2 = math.sqrt(2.0) / 2.0
 def make_bank(schema, d=6, m=8, L=2, numeric_input="frequency", seed=0):
     expanded = expand_schema(schema)
     rng = np.random.default_rng(seed)
-    bank, params = build_bank(expanded, d, m, L, numeric_input, rng)
-    return expanded, bank, params
+    return expanded, build_bank(expanded, d, m, L, numeric_input, rng)
 
 
-def embed(bank, spec, values, masked=False):
+def embed(params, spec, values, masked=False):
     """embed_slot_batch over one attribute's values (Cat, Num or Missing),
     one batch row per value; `masked` is one flag for all or one per value."""
     ids = np.array([v.index if isinstance(v, Cat) else -1 for v in values], dtype=np.int64)
     vals = np.array([v.value if isinstance(v, Num) else np.nan for v in values])
     missing = np.array([v is Missing for v in values])
     flags = np.broadcast_to(np.asarray(masked, dtype=bool), missing.shape).copy()
-    return embed_slot_batch(bank, spec, ids, vals, missing, flags)
+    return embed_slot_batch(params, spec, ids, vals, missing, flags)
 
 
 def test_freq_encode_zero():
@@ -102,89 +101,90 @@ def test_expand_series_matches_expanded_schema():
 
 def test_embed_field_cat_is_exact_table_row():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
     spec = expanded.attributes["color"]
-    table = bank.cat_tables["color"].data
-    assert np.array_equal(embed(bank, spec, [Cat(3)]).data, table[[3]])
-    assert np.array_equal(embed(bank, spec, [Cat(3), Cat(0), Cat(2)]).data, table[[3, 0, 2]])
+    table = params["embed.cat.color.table"].data
+    assert np.array_equal(embed(params, spec, [Cat(3)]).data, table[[3]])
+    assert np.array_equal(embed(params, spec, [Cat(3), Cat(0), Cat(2)]).data, table[[3, 0, 2]])
 
 
 def test_embed_field_num_at_range_min():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema, L=2)
+    expanded, params = make_bank(schema, L=2)
     spec = expanded.attributes["amount"]  # value_range (0, 3)
-    w, b = bank.num_proj["amount"]
-    out = embed(bank, spec, [Num(0.0)])
+    w, b = params["embed.num.amount.weight"], params["embed.num.amount.bias"]
+    out = embed(params, spec, [Num(0.0)])
     expected = matmul(Tensor(freq_encode(0.0, 2).reshape(1, -1)), w) + b
     assert np.allclose(out.data, expected.data, atol=1e-15)
-    out = embed(bank, spec, [Num(0.0), Num(1.5), Num(3.0)])
+    out = embed(params, spec, [Num(0.0), Num(1.5), Num(3.0)])
     feats = np.stack([freq_encode(v / 3.0, 2) for v in (0.0, 1.5, 3.0)])
     assert np.allclose(out.data, (matmul(Tensor(feats), w) + b).data, atol=1e-15)
 
 
 def test_embed_field_missing_uses_missing_vector():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
+    missing = params["embed.missing"].data
     for name, value in (("color", Cat(1)), ("amount", Num(1.0))):
         spec = expanded.attributes[name]
-        assert np.array_equal(embed(bank, spec, [Missing]).data, bank.missing_vec.data[None])
-        out = embed(bank, spec, [value, Missing, value])
-        assert np.array_equal(out.data[1], bank.missing_vec.data)
-        assert np.allclose(out.data[[0, 2]], np.tile(embed(bank, spec, [value]).data, (2, 1)))
+        assert np.array_equal(embed(params, spec, [Missing]).data, missing[None])
+        out = embed(params, spec, [value, Missing, value])
+        assert np.array_equal(out.data[1], missing)
+        assert np.allclose(out.data[[0, 2]], np.tile(embed(params, spec, [value]).data, (2, 1)))
 
 
 def test_embed_field_masked_overrides_value():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
     spec = expanded.attributes["color"]
-    out = embed(bank, spec, [Cat(1)], masked=True)
-    assert np.array_equal(out.data, bank.mask_vec.data[None])
-    out = embed(bank, spec, [Cat(1), Missing, Cat(2)], masked=[True, True, False])
-    assert np.array_equal(out.data[:2], np.tile(bank.mask_vec.data, (2, 1)))
-    assert np.array_equal(out.data[2], bank.cat_tables["color"].data[2])
+    out = embed(params, spec, [Cat(1)], masked=True)
+    assert np.array_equal(out.data, params["embed.mask"].data[None])
+    out = embed(params, spec, [Cat(1), Missing, Cat(2)], masked=[True, True, False])
+    assert np.array_equal(out.data[:2], np.tile(params["embed.mask"].data, (2, 1)))
+    assert np.array_equal(out.data[2], params["embed.cat.color.table"].data[2])
 
 
 def test_embed_row_composition():
     schema = make_tiny_schema()
     series = expand_series(make_tiny_series(), schema)
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
     rt = expanded.row_types[0]
     for s, name in enumerate(rt.attributes):
         spec = expanded.attributes[name]
         column = [row.values[s] for row in series.rows]
-        batch = embed(bank, spec, column)
+        batch = embed(params, spec, column)
         for i, v in enumerate(column):
-            assert np.allclose(batch.data[i], embed(bank, spec, [v]).data[0])
+            assert np.allclose(batch.data[i], embed(params, spec, [v]).data[0])
 
 
 def test_embed_row_all_masked():
     schema = make_tiny_schema()
     series = expand_series(make_tiny_series(), schema)
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
     for s, name in enumerate(expanded.row_types[0].attributes):
         column = [row.values[s] for row in series.rows]
-        out = embed(bank, expanded.attributes[name], column, masked=True)
-        assert np.array_equal(out.data, np.tile(bank.mask_vec.data, (len(column), 1)))
+        out = embed(params, expanded.attributes[name], column, masked=True)
+        assert np.array_equal(out.data, np.tile(params["embed.mask"].data, (len(column), 1)))
 
 
 def test_equal_normalized_values_embed_bitwise_equal():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema)
+    expanded, params = make_bank(schema)
     spec = expanded.attributes["amount"]
-    a = embed(bank, spec, [Num(1.2)])
-    b = embed(bank, spec, [Num(1.2)])
+    a = embed(params, spec, [Num(1.2)])
+    b = embed(params, spec, [Num(1.2)])
     assert np.array_equal(a.data, b.data)
-    pair = embed(bank, spec, [Num(1.2), Num(0.4), Num(1.2)])
+    pair = embed(params, spec, [Num(1.2), Num(0.4), Num(1.2)])
     assert np.array_equal(pair.data[0], pair.data[2])
 
 
 def test_binned_input_mode_uses_tables():
     schema = make_tiny_schema()
-    expanded, bank, _ = make_bank(schema, numeric_input="binned")
+    expanded, params = make_bank(schema, numeric_input="binned")
     spec = expanded.attributes["amount"]
-    table = bank.num_tables["amount"].data
-    assert np.array_equal(embed(bank, spec, [Num(1.5)]).data, table[[1]])  # bin 1
-    out = embed(bank, spec, [Num(1.5), Num(0.2), Num(2.9)])
+    table = params["embed.num.amount.table"].data
+    assert np.array_equal(embed(params, spec, [Num(1.5)]).data, table[[1]])  # bin 1
+    out = embed(params, spec, [Num(1.5), Num(0.2), Num(2.9)])
     assert np.array_equal(out.data, table[[1, 0, 2]])
 
 

@@ -27,7 +27,7 @@ from unittab.embedding import expand_schema, prepare_series, split_timestamp
 from unittab.schema import (
     CATEGORICAL, NUMERICAL, TIMESTAMP,
     AttributeSpec, Cat, Missing, Num, Row, RowTypeSpec, Schema, SchemaError, Time,
-    TimeSeries, default_special_tokens,
+    TimeSeries,
 )
 
 
@@ -232,7 +232,7 @@ def mixed_schema() -> Schema:
     row_types = [RowTypeSpec(1, ["ts", "color", "amount"]),
                  RowTypeSpec(2, ["ts", "color", "amount", "shop", "fee"]),
                  RowTypeSpec(3, ["fee", "shop"])]
-    return Schema(attrs, row_types, default_special_tokens(attrs))
+    return Schema(attrs, row_types)
 
 
 HEADER = "entity_id,row_type,amount,color,fee,shop,ts"
@@ -295,8 +295,7 @@ def test_last_timestamp_of_a_row_is_its_sort_key(tmp_path):
         "amount": AttributeSpec("amount", NUMERICAL, bin_edges=[0.0, 1.0, 2.0],
                                 value_range=(0.0, 2.0)),
     }
-    schema = Schema(attrs, [RowTypeSpec(1, ["opened", "amount", "closed"])],
-                    default_special_tokens(attrs))
+    schema = Schema(attrs, [RowTypeSpec(1, ["opened", "amount", "closed"])])
     path = tmp_path / "data.csv"
     path.write_text("entity_id,amount,closed,opened\n"  # no row type column
                     "a,1.0,2021-01-05,2021-01-01\n"

@@ -4,7 +4,7 @@ import pytest
 from unittab.embedding import prepare_series
 from unittab.model import LengthError, Model, ModelConfig, expected_param_count
 from unittab.schema import (
-    AttributeSpec, RowTypeSpec, Schema, default_special_tokens, NUMERICAL,
+    AttributeSpec, RowTypeSpec, Schema, TimeSeries, NUMERICAL,
 )
 from unittab.tensor import Tensor, grad_check, sum_
 from unittab.training import TrainConfig, apply_masking, pretrain_loss
@@ -28,7 +28,7 @@ def numeric_pair_model(d=1, m=1):
         "a": AttributeSpec("a", NUMERICAL, bin_edges=[0.0, 0.5, 1.0], value_range=(0.0, 1.0)),
         "b": AttributeSpec("b", NUMERICAL, bin_edges=[0.0, 0.5, 1.0], value_range=(0.0, 1.0)),
     }
-    schema = Schema(attrs, [RowTypeSpec(1, ["a", "b"])], default_special_tokens(attrs))
+    schema = Schema(attrs, [RowTypeSpec(1, ["a", "b"])])
     config = ModelConfig(d=d, m=m, field_layers=1, field_heads=1, seq_layers=1, seq_heads=1,
                          freq_count=1, t_max=4, n_row_types=1, dropout=0.0)
     return Model(config, schema, seed=0)
@@ -163,9 +163,8 @@ def test_pretrain_forward_shapes_mixed_types():
 def test_pretrain_forward_zero_masked_short_circuits():
     model, batch, cfg0 = toy_setup(0)
     cfg = TrainConfig(p_f=0.0, p_r=0.0)
-    from unittab.embedding import EncodedSeries
     rng = np.random.default_rng(0)
-    plain = [apply_masking(EncodedSeries("x", s.rows, None), model.schema, cfg, rng)
+    plain = [apply_masking(TimeSeries("x", s.rows, None), model.schema, cfg, rng)
              for s in batch]
     out = model.pretrain_forward(plain, rng=None, training=False)
     assert out.n_masked == 0 and out.cat_groups == []

@@ -1,12 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from unittab.schema import (
-    AttributeSpec, Cat, DegenerateAttributeError, Missing, Row, Schema,
-    SchemaError, Time, fit_bins, fit_schema,
-    fit_vocab, quantize_array, schema_from_json, schema_hash, schema_to_json, validate,
-    vocab_index, NUMERICAL,
+    AttributeSpec, Cat, DegenerateAttributeError, Missing, Row, SchemaError, Time,
+    fit_bins, fit_schema, fit_vocab, quantize_array, schema_from_json, schema_hash,
+    schema_to_json, validate, vocab_index, NUMERICAL,
 )
 from conftest import make_tiny_schema, make_tiny_series
 
@@ -116,18 +117,15 @@ def test_schema_json_round_trip_and_hash():
     assert schema_to_json(back) == text
 
 
-def test_special_tokens_outside_vocab_ranges():
+def test_schema_json_with_special_token_ids_still_loads():
+    # schema.json files written before the unused special-token ids were
+    # dropped carry a "special_tokens" key; loading ignores it
     schema = make_tiny_schema()
-    top = max(len(schema.attributes["color"].vocab), schema.attributes["amount"].n_bins)
-    assert min(schema.special_tokens.as_tuple()) >= top
-    assert len(set(schema.special_tokens.as_tuple())) == 4
-
-
-def test_special_tokens_must_be_distinct():
-    schema = make_tiny_schema()
-    st_bad = type(schema.special_tokens)(5, 5, 6, 7)
-    with pytest.raises(SchemaError):
-        Schema(schema.attributes, schema.row_types, st_bad)
+    d = json.loads(schema_to_json(schema))
+    d["special_tokens"] = {"mask": 31, "cls": 32, "missing": 33, "pad": 34}
+    back = schema_from_json(json.dumps(d))
+    assert schema_to_json(back) == schema_to_json(schema)
+    assert schema_hash(back) == schema_hash(schema)
 
 
 def test_fit_schema_refits_numerical_and_years():

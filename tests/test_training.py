@@ -14,7 +14,7 @@ from unittab.model import (
 )
 from unittab.tensor import NumericError, Tensor
 from unittab.training import (
-    AdamW, LabelError, TrainConfig, apply_masking, finetune,
+    AdamW, LabelError, TrainConfig, apply_masking, evaluate, finetune,
     masked_token_loss, pretrain, regression_loss,
     smooth_categorical, smooth_neighborhood,
 )
@@ -494,6 +494,20 @@ def test_finetune_binary_label_outside_0_1_fails_before_training(split, label, t
     (train if split == "training" else test)[0].label = label
     assert_finetune_fails_early(tiny_finetune_model(expanded), train, test, "binary",
                                 LabelError, f"labels 0 or 1; the {split} split", tmp_path)
+
+
+def test_evaluate_binary_label_outside_0_1_fails_before_predicting():
+    expanded, encoded = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head("binary")
+    samples = encoded[:6]
+    for s, y in zip(samples, [0, 1, 2, 0, 1, 0]):
+        s.label = y
+    calls = []
+    model.finetune_forward = lambda *args, **kwargs: calls.append(args)
+    with pytest.raises(LabelError, match="labels 0 or 1; the test split has 1 other"):
+        evaluate(model, samples, "binary")
+    assert calls == []  # rejected before any forward pass
 
 
 @pytest.mark.parametrize("split", ["training", "test"])
