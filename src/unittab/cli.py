@@ -3,7 +3,8 @@
 Runs are pure functions of (config file, flags, referenced input files);
 flag overrides beat the UNITTAB_SEED environment variable, which beats the
 config file. Unknown config keys are errors. Exit codes: 0 success,
-1 verification failure, 2 usage or config error.
+1 verification failure, 2 usage, config or input error (a bad dataset,
+labels file or checkpoint), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
-    MultitypeConfig, PollutionConfig, export_dataset,
+    FormatError, MultitypeConfig, PollutionConfig, export_dataset,
     gen_multitype_transactions, gen_pollution_like, labeled_windows, last_crop,
     read_csv, split_by_entity,
 )
 from .embedding import prepare_series
-from .metrics import format_report_table
-from .model import Model, ModelConfig
-from .schema import schema_from_json
-from .training import TrainConfig, evaluate, finetune, pretrain
+from .metrics import UndefinedMetricError, format_report_table
+from .model import Model, ModelConfig, ModelError
+from .schema import SchemaError, schema_from_json
+from .training import ConfigError, LabelError, TrainConfig, evaluate, finetune, pretrain
 from .verify import run_suite
 
 
@@ -283,10 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (UsageError, FileNotFoundError, ConfigError, SchemaError, FormatError,
+            CheckpointError, ModelError, LabelError, UndefinedMetricError) as e:
+        # bad input read from flags or files; exit 1 is kept for verification failures
         print(f"error: {e}", file=sys.stderr)
         return 2
 

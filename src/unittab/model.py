@@ -12,6 +12,7 @@ to per-attribute prediction heads at masked positions.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -263,6 +264,21 @@ class Model:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+    @contextlib.contextmanager
+    def frozen(self, names):
+        """Clear `requires_grad` on the named parameters for the body and
+        restore each flag on exit, also when the body raises. An op none of
+        whose inputs needs a gradient keeps no backward closure, so a forward
+        pass under `frozen(self.params)` builds no tape at all."""
+        saved = [(p, p.requires_grad) for p in (self.params[k] for k in names)]
+        for p, _ in saved:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p, flag in saved:
+                p.requires_grad = flag
 
     # -- encoder blocks
 

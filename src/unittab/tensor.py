@@ -3,7 +3,12 @@
 Tensors wrap float64 numpy arrays (row-major) and record the
 operations that produced them. Calling ``backward()`` on a scalar replays
 the recorded operations in exact reverse execution order and accumulates
-gradients into every tensor with ``requires_grad=True``.
+gradients into every leaf tensor with ``requires_grad=True``: a tensor
+created directly, such as a parameter, rather than by an operation. Backward
+keeps grads on leaves only; an interior tensor's grad is released as soon as
+its own backward has run, so two ``backward()`` calls on one root give the
+leaves twice the gradient of one. An operation none of whose inputs requires
+a gradient records nothing, so a forward pass over constants builds no tape.
 
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
@@ -41,7 +46,8 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 class Tensor:
     """A dense n-d array participating in a reverse-mode gradient graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op_id",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -145,8 +151,9 @@ class GradTape:
 
     def replay_backward(self) -> None:
         for t in reversed(self.ops):
-            if t.grad is not None:
-                t._backward_fn(t.grad)
+            g, t.grad = t.grad, None
+            if g is not None:
+                t._backward_fn(g)
 
 
 def _wrap(x) -> Tensor:

@@ -345,6 +345,7 @@ def _train_loop(step, n_items: int, model: Model, opt: AdamW, cfg: TrainConfig,
                     loss.backward()
                     opt.step()
                     value = loss.item()
+                    loss = None  # this step's graph dies before the next batch is built
                 log.write(len(losses), split, "loss", value)
                 losses.append(value)
                 steps = len(losses)
@@ -392,16 +393,16 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
 
 
 def predict(model: Model, samples, task: str, batch_size: int = 64):
-    """Deterministic forward (dropout off). Returns one value per sample:
-    the prediction for regression, P(class 1) for binary."""
+    """Deterministic forward (dropout off) with every parameter frozen, so
+    no batch records a tape. Returns one value per sample: the prediction
+    for regression, P(class 1) for binary."""
     preds = []
-    for batch in _batched(samples, batch_size):
-        out = model.finetune_forward(batch, rng=None, training=False)
-        if task == "regression":
-            preds.extend(out.data.tolist())
-        else:
-            probs = softmax(out, axis=-1).data
-            preds.extend(probs[:, 1].tolist())
+    with model.frozen(model.params):
+        for batch in _batched(samples, batch_size):
+            out = model.finetune_forward(batch, rng=None, training=False)
+            preds.extend(out.data.tolist() if task == "regression"
+                         else softmax(out, axis=-1).data[:, 1].tolist())
+            del out  # the next batch is built without this one's output alive
     return np.asarray(preds)
 
 
@@ -485,8 +486,9 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
         # afterwards so the checkpointed model predicts raw scale
         label_mu = float(labels.mean())
         label_sd = float(labels.std()) or 1.0
-    trainable = (dict(model.params) if not freeze_backbone
-                 else {k: p for k, p in model.params.items() if k.startswith("finetune.")})
+    trainable = {k: p for k, p in model.params.items()
+                 if not freeze_backbone or k.startswith("finetune.")}
+    frozen = [k for k in model.params if k not in trainable]
     opt = AdamW(trainable, lr=cfg.lr, betas=cfg.betas,
                 weight_decay=cfg.weight_decay, no_decay=model.no_decay)
 
@@ -497,8 +499,9 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
             return mean(diff * diff)
         return cross_entropy_soft(out, np.eye(2)[labels[chunk].astype(np.int64)])
 
-    losses = _train_loop(step, len(train_samples), model, opt, cfg, rng, "finetune",
-                         metrics_path)
+    with model.frozen(frozen):  # a frozen backbone records no tape and gets no grads
+        losses = _train_loop(step, len(train_samples), model, opt, cfg, rng, "finetune",
+                             metrics_path)
     if task == "regression" and (label_mu != 0.0 or label_sd != 1.0):
         model.params["finetune.w2"].data *= label_sd
         model.params["finetune.b2"].data = model.params["finetune.b2"].data * label_sd + label_mu

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -131,23 +132,57 @@ def test_grad_check_injected_bug_fails():
     assert run_cli("grad-check", "--op", "gelu", "--trials", "2", "--inject-bug") == 1
 
 
-def test_multitype_pipeline_binary_task(tmp_path):
-    data = tmp_path / "mt"
+@pytest.fixture(scope="module")
+def multitype_pretrained(tmp_path_factory):
+    """gen-data -> pretrain on churn data once; returns (root, config path)."""
+    root = tmp_path_factory.mktemp("multitype")
+    data = root / "mt"
     assert run_cli("gen-data", "--kind", "multitype_transactions", "--entities", "10",
                    "--mean-len", "40", "--churn-rate", "0.4", "--q-bins", "8",
                    "--seed", "2", "--out", str(data)) == 0
-    cfg_path = tmp_path / "cfg.json"
+    cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps({
         "model": {"d": 8, "m": 16, "field_layers": 1, "field_heads": 2, "seq_layers": 1,
                   "seq_heads": 2, "freq_count": 2, "t_max": 12, "dropout": 0.0},
         "train": {"seed": 2, "epochs": 20, "batch_size": 4, "lr": 1e-3, "max_steps": 8},
         "data": {"dir": str(data), "test_fraction": 0.3},
-        "out_dir": str(tmp_path / "pre"),
+        "out_dir": str(root / "pre"),
     }))
     assert run_cli("pretrain", "--config", str(cfg_path)) == 0
+    return root, cfg_path
+
+
+def test_multitype_pipeline_binary_task(multitype_pretrained, tmp_path):
+    root, cfg_path = multitype_pretrained
     assert run_cli("finetune", "--config", str(cfg_path),
-                   "--checkpoint", str(tmp_path / "pre" / "model.ckpt"),
+                   "--checkpoint", str(root / "pre" / "model.ckpt"),
                    "--out", str(tmp_path / "ft"), "--max-steps", "6") == 0
     report = json.loads((tmp_path / "ft" / "eval_report.json").read_text())
     assert report["task"] == "binary"
     assert set(report["metrics"]) == {"f1", "average_precision", "roc_auc", "accuracy"}
+
+
+def _one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(w in err for w in words), err
+
+
+def test_eval_label_outside_0_1_exits_2(multitype_pretrained, tmp_path, capsys):
+    root, cfg_path = multitype_pretrained
+    data = tmp_path / "mt"
+    shutil.copytree(root / "mt", data)
+    labels = json.loads((data / "labels.json").read_text())
+    (data / "labels.json").write_text(json.dumps({k: 2 for k in labels}))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", str(cfg_path), "--data", str(data),
+                   "--checkpoint", str(root / "pre" / "model.ckpt")) == 2
+    _one_line_error(capsys, "labels 0 or 1", "first 2")
+
+
+def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained, capsys):
+    root, cfg_path = multitype_pretrained
+    capsys.readouterr()
+    assert run_cli("eval", "--config", str(cfg_path),
+                   "--checkpoint", str(root / "pre" / "model.ckpt")) == 2
+    _one_line_error(capsys, "no task head")

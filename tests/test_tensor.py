@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -197,6 +198,45 @@ def test_forward_backward_deterministic():
     y1, g1 = run()
     y2, g2 = run()
     assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
+
+
+def _shared_graph():
+    """A root over interior tensors each read by several ops, and its leaves."""
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=5), requires_grad=True)
+    beta = Tensor(np.zeros(5), requires_grad=True)
+    h = gelu(matmul(x, w))
+    y = layer_norm(h * h + softmax(h, axis=-1), gamma, beta)
+    return mean(y * h), (x, w, gamma, beta)
+
+
+# sha256 prefixes of the leaf grads of one backward, recorded while interior
+# grads were still kept after backward
+SHARED_GRAPH_LEAF_GRADS = ["17f131825f52bfad", "7214a472143e0209", "53e5554eaf2ed1f3",
+                           "7399f18ec95140b6"]
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    root, leaves = _shared_graph()
+    interior = GradTape.trace(root).ops
+    assert len(interior) == 8
+    root.backward()
+    assert all(t.grad is None for t in interior)
+    assert [hashlib.sha256(p.grad.tobytes()).hexdigest()[:16] for p in leaves] == \
+        SHARED_GRAPH_LEAF_GRADS
+    # the tape itself stays intact: tracing the root again finds every op
+    assert [id(t) for t in GradTape.trace(root).ops] == [id(t) for t in interior]
+
+
+def test_two_backward_calls_double_the_leaf_grads():
+    root, leaves = _shared_graph()
+    root.backward()
+    once = [p.grad.copy() for p in leaves]
+    root.backward()
+    for p, g in zip(leaves, once):
+        assert np.array_equal(p.grad, 2.0 * g)
 
 
 def test_grad_tape_is_topologically_ordered():

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from unittab.metrics import UndefinedMetricError
 from unittab.model import (
     LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
 )
-from unittab.tensor import NumericError, Tensor
+from unittab.tensor import NumericError, Tensor, softmax
 from unittab.training import (
-    AdamW, LabelError, TrainConfig, apply_masking, evaluate, finetune,
-    masked_token_loss, pretrain, regression_loss,
+    AdamW, LabelError, TrainConfig, _train_loop, apply_masking, evaluate, finetune,
+    masked_token_loss, predict, pretrain, pretrain_loss, regression_loss,
     smooth_categorical, smooth_neighborhood,
 )
 from conftest import make_tiny_schema, make_tiny_series
@@ -415,6 +416,24 @@ def test_pretrain_metrics_file_holds_only_the_last_run(tmp_path):
     assert [r["value"] for r in records] == second.losses
 
 
+def test_train_loop_frees_each_step_graph_before_the_next():
+    model, encoded = small_pretrain_setup()
+    cfg = TrainConfig(p_f=0.5, lr=1e-3, epochs=2, batch_size=2, seed=0)
+    rng = np.random.default_rng(0)
+    refs, alive_at_start = [], []
+
+    def step(chunk):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        batch = [apply_masking(encoded[i], model.schema, cfg, rng) for i in chunk]
+        loss = pretrain_loss(model.pretrain_forward(batch, rng, training=True), cfg)
+        refs.append(weakref.ref(loss))
+        return loss
+
+    losses = _train_loop(step, len(encoded), model, AdamW(model.params), cfg, rng, "pretrain")
+    assert len(losses) == 4 and all(x > 0.0 for x in losses)
+    assert alive_at_start == [0, 0, 0, 0]
+
+
 def labeled_encoded(n=8, seed=0):
     schema = make_tiny_schema()
     rng = np.random.default_rng(seed)
@@ -527,8 +546,62 @@ def test_finetune_freeze_backbone_leaves_backbone_params():
                   expanded, seed=0)
     before = model.params["proj.W.1"].data.copy()
     cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2, seed=3)
-    finetune(encoded[:6], encoded[6:], model, "binary", cfg, freeze_backbone=True)
+    result = finetune(encoded[:6], encoded[6:], model, "binary", cfg, freeze_backbone=True)
+    assert len(result.losses) >= 1
     assert np.array_equal(model.params["proj.W.1"].data, before)
+    # the frozen backbone took part in no backward pass
+    head = {k for k in model.params if k.startswith("finetune.")}
+    assert len(head) == 4
+    assert all((p.grad is not None) == (k in head) for k, p in model.params.items())
+    assert all(p.requires_grad for p in model.params.values())
+
+
+def test_predict_records_no_tape_and_restores_requires_grad():
+    expanded, encoded = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head("binary")
+    model.params["seq.pos.table"].requires_grad = False
+    flags = {k: p.requires_grad for k, p in model.params.items()}
+    seen, forward = [], model.finetune_forward
+
+    def recorded(*args, **kwargs):
+        alive = sum(ref() is not None for ref, _ in seen)  # earlier batches' outputs
+        out = forward(*args, **kwargs)
+        seen.append((weakref.ref(out), (alive, out._backward_fn, out._parents, out.requires_grad)))
+        return out
+
+    model.finetune_forward = recorded
+    scores = predict(model, encoded, "binary", batch_size=3)
+    assert scores.shape == (8,)
+    assert [state for _, state in seen] == [(0, None, (), False)] * 3
+    assert {k: p.requires_grad for k, p in model.params.items()} == flags
+    # the scores equal forward passes that record the tape, batch for batch
+    with_tape = [forward(encoded[lo:lo + 3], rng=None, training=False)
+                 for lo in (0, 3, 6)]
+    assert all(out._backward_fn is not None for out in with_tape)
+    assert scores.tolist() == [p for out in with_tape
+                               for p in softmax(out, axis=-1).data[:, 1].tolist()]
+
+
+def test_predict_restores_requires_grad_when_the_forward_raises():
+    expanded, encoded = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head("regression")
+    encoded[5].rows = encoded[5].rows * 2  # 8 rows; the model's t_max is 6
+    with pytest.raises(LengthError):
+        predict(model, encoded, "regression", batch_size=4)
+    assert all(p.requires_grad for p in model.params.values())
+
+
+def test_frozen_forward_has_no_backward():
+    expanded, encoded = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head("binary")
+    with model.frozen(model.params):
+        out = model.finetune_forward(encoded, rng=np.random.default_rng(0), training=True)
+        assert not any(p.requires_grad for p in model.params.values())
+    assert out._backward_fn is None and out._parents == ()
+    assert all(p.requires_grad for p in model.params.values())
 
 
 # -- checkpointing
