@@ -8,8 +8,8 @@ backward rules checked against central finite differences.
 import numpy as np
 
 from unittab.tensor import (
-    GradTape, Tensor, cross_entropy_soft, gelu, grad_check, layer_norm,
-    matmul, mean, softmax, sum_,
+    GradTape, Tensor, cross_entropy_soft, gelu, grad_check, matmul, mean,
+    residual_layer_norm, softmax, sum_,
 )
 
 rng = np.random.default_rng(0)
@@ -42,10 +42,12 @@ print(f"the tape recorded {len(tape.ops)} operations, ids strictly increasing:",
 err = grad_check(lambda t: cross_entropy_soft(matmul(gelu(matmul(t, w1)), w2), targets), x)
 print(f"max relative error vs central differences: {err:.2e}")
 
-# layer_norm handles the degenerate constant row through its epsilon.
+# The encoder's post-norm residual, layer_norm(x + dropout(a)), is one op; the
+# layer norm handles a degenerate constant row through its epsilon.
 const = Tensor(np.full((1, 6), 3.0))
-ln = layer_norm(const, Tensor(np.ones(6)), Tensor(np.zeros(6)))
-print("layer_norm of a constant row:", ln.data.round(12).tolist())
+ln = residual_layer_norm(const, Tensor(np.zeros((1, 6))), Tensor(np.ones(6)),
+                         Tensor(np.zeros(6)), p=0.0, rng=None, training=False)
+print("layer norm of a constant row:", ln.data.round(12).tolist())
 
 # Scalar reductions close the graph.
 reg = mean(x * x) + sum_(w1 * w1) * 1e-3

@@ -83,7 +83,7 @@ def save_checkpoint(path, model: Model, optimizer, train_cfg, rng, step: int) ->
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for name in sorted(tensors):
-            f.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+            f.write(memoryview(np.ascontiguousarray(tensors[name], dtype="<f8")).cast("B"))
     os.replace(tmp, path)
 
 

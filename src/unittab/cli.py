@@ -213,7 +213,14 @@ def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, {"out_dir": args.out, "dir": args.data,
                                         "checkpoint": args.checkpoint})
     model, _, test, task = _load_task(cfg)
-    report = evaluate(model, test, task)
+    try:  # evaluate checks the labels before it runs the model
+        report = evaluate(model, test, task)
+    except ModelError:
+        if model.config.task_head is not None:
+            raise
+        raise UsageError(f"checkpoint {cfg['data']['checkpoint']} has no task head; run "
+                         "`unittab finetune` first and evaluate the finetuned.ckpt it "
+                         "writes") from None
     print(format_report_table({"checkpoint": report}))
     if args.out:
         out = Path(cfg["out_dir"])

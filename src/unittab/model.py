@@ -20,8 +20,8 @@ import numpy as np
 from .embedding import build_bank, embed_slot_batch, normalize_numeric
 from .schema import CATEGORICAL, NUMERICAL, Schema, quantize_array
 from .tensor import (
-    Tensor, concat, dropout, embedding_gather, gelu, layer_norm, matmul,
-    reshape, slice_, softmax, transpose,
+    Tensor, attention, concat, embedding_gather, feed_forward, gelu, matmul, reshape,
+    residual_layer_norm, slice_, transpose,
 )
 
 
@@ -282,41 +282,23 @@ class Model:
 
     # -- encoder blocks
 
-    def _linear(self, x: Tensor, name: str) -> Tensor:
-        return matmul(x, self.params[f"{name}.weight"]) + self.params[f"{name}.bias"]
-
-    def _attention(self, x: Tensor, p: str, heads: int, add_mask, rng, training) -> Tensor:
-        b, t, w = x.shape
-        hd = w // heads
-        q = self._linear(x, f"{p}.attn.wq")
-        k = matmul(x, self.params[f"{p}.attn.wk.weight"])
-        v = self._linear(x, f"{p}.attn.wv")
-        q = transpose(reshape(q, (b, t, heads, hd)), (0, 2, 1, 3))
-        k = transpose(reshape(k, (b, t, heads, hd)), (0, 2, 1, 3))
-        v = transpose(reshape(v, (b, t, heads, hd)), (0, 2, 1, 3))
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-        if add_mask is not None:
-            scores = scores + add_mask
-        probs = dropout(softmax(scores, axis=-1), self.config.dropout, rng, training)
-        ctx = transpose(matmul(probs, v), (0, 2, 1, 3))
-        return self._linear(reshape(ctx, (b, t, w)), f"{p}.attn.wo")
-
-    def _ffn(self, x: Tensor, p: str) -> Tensor:
-        return self._linear(gelu(self._linear(x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
-
-    def _ln(self, x: Tensor, p: str, which: str) -> Tensor:
-        return layer_norm(x, self.params[f"{p}.{which}.gamma"], self.params[f"{p}.{which}.beta"])
-
     def _encoder(self, prefix: str, layers: int, heads: int, x: Tensor,
                  add_mask, rng, training) -> Tensor:
-        """Post-norm blocks: each layer norm follows its residual add."""
-        pdrop = self.config.dropout
+        """Post-norm blocks: each layer norm follows its residual add. Every
+        sublayer is one fused tape op: `attention`, `feed_forward` and
+        `residual_layer_norm` from `tensor`."""
+        pdrop, P = self.config.dropout, self.params
         for i in range(layers):
-            p = f"{prefix}.{i}"
-            a = self._attention(x, p, heads, add_mask, rng, training)
-            x = self._ln(x + dropout(a, pdrop, rng, training), p, "ln1")
-            f = self._ffn(x, p)
-            x = self._ln(x + dropout(f, pdrop, rng, training), p, "ln2")
+            n = f"{prefix}.{i}"
+            a = attention(x, *(P[f"{n}.attn.{k}"] for k in (
+                "wq.weight", "wq.bias", "wk.weight", "wv.weight", "wv.bias", "wo.weight",
+                "wo.bias")), heads, add_mask, pdrop, rng, training)
+            x = residual_layer_norm(x, a, P[f"{n}.ln1.gamma"], P[f"{n}.ln1.beta"],
+                                    pdrop, rng, training)
+            f = feed_forward(x, *(P[f"{n}.ffn.{k}"] for k in (
+                "w1.weight", "w1.bias", "w2.weight", "w2.bias")))
+            x = residual_layer_norm(x, f, P[f"{n}.ln2.gamma"], P[f"{n}.ln2.beta"],
+                                    pdrop, rng, training)
         return x
 
     # -- the four architectural operations
@@ -360,7 +342,7 @@ class Model:
         positions = np.arange(t) if with_cls else np.arange(1, t + 1)
         pos = embedding_gather(self.params["seq.pos.table"], positions)
         x = row_vectors + pos
-        add_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
+        add_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
         out = self._encoder("seq", self.config.seq_layers, self.config.seq_heads,
                             x, add_mask, rng, training)
         return out * Tensor(real[:, :, None].astype(np.float64))

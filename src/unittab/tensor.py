@@ -10,6 +10,14 @@ its own backward has run, so two ``backward()`` calls on one root give the
 leaves twice the gradient of one. An operation none of whose inputs requires
 a gradient records nothing, so a forward pass over constants builds no tape.
 
+Each encoder sublayer is one fused op with a hand-written backward:
+``attention``, ``feed_forward`` and ``residual_layer_norm`` (the post-norm
+``layer_norm(x + dropout(a))``). Each evaluates the numpy expressions of the
+chain of small ops it stands for in the same order and draws the same
+dropout shapes, so outputs and grads are bit-identical to that chain; its
+graph keeps only the arrays its backward reads, and it computes a grad only
+for an input that requires one.
+
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
 state. A gradient graph is single-threaded; tensors that do not require
@@ -235,13 +243,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ np.swapaxes(bd, -1, -2))
         if b.requires_grad:
-            if bd.ndim == 2 and ad.ndim > 2:
-                k, n = bd.shape
-                _accum(b, ad.reshape(-1, k).T @ g.reshape(-1, n))
-            else:
-                _accum(b, np.swapaxes(ad, -1, -2) @ g)
+            _accum(b, _matmul_rhs_grad(ad, bd, g))
 
     return _make(data, (a, b), bw)
+
+
+def _matmul_rhs_grad(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dB of C = A @ B for upstream g; a 2d B shared by a batch of A takes
+    one flattened product."""
+    if bd.ndim == 2 and ad.ndim > 2:
+        k, n = bd.shape
+        return ad.reshape(-1, k).T @ g.reshape(-1, n)
+    return np.swapaxes(ad, -1, -2) @ g
+
+
+def _linear_grads(xd, w: Tensor, b: Tensor | None, g: np.ndarray, need_x: bool):
+    """Backward of the composed `matmul(x, w) + b` for upstream g: accumulates
+    the grads of w and b (when they require one) and returns dx when
+    `need_x`, else None. `xd` (x's data) is read only for w's grad."""
+    if b is not None and b.requires_grad:
+        _accum(b, _unbroadcast(g, b.shape))
+    if w.requires_grad:
+        _accum(w, _matmul_rhs_grad(xd, w.data, g))
+    return g @ np.swapaxes(w.data, -1, -2) if need_x else None
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -354,40 +378,174 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(s, (a,), bw)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (1e-5 added to
-    the variance), then affine."""
-    d = a.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (a.data - mu) * inv
-    data = xhat * gamma.data + beta.data
-
-    def bw(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=lead))
-        _accum(beta, g.sum(axis=lead))
-        if a.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, (dxhat - m1 - xhat * m2) * inv)
-
-    return _make(data, (a, gamma, beta), bw)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: kept units are scaled by 1/(1-p); identity when
-    training is False or p == 0."""
+def _dropout_keep(shape, p: float, rng: np.random.Generator, training: bool):
+    """The kept units of inverted dropout at rate p as a bool array (one
+    `rng.random(shape)` draw), or None when nothing is dropped: not training,
+    or p == 0. Kept units scale by 1/(1-p); `keep / (1.0 - p)` rebuilds that
+    scale bit for bit wherever it is needed."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _make(a.data * keep, (a,), lambda g: _accum(a, g * keep))
+        return None
+    return rng.random(shape) >= p
+
+
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+              wo: Tensor, bo: Tensor, heads: int, add_mask, p: float,
+              rng: np.random.Generator, training: bool) -> Tensor:
+    """Multi-head self-attention over x (B, T, W) as one op: the q, k and v
+    projections (k has no bias: it would shift all scores of a query
+    equally), the split into `heads` heads, scores scaled by 1/sqrt(W/heads)
+    plus `add_mask` (None, or an array broadcast against the (B, heads, T, T)
+    scores: 0 where a key may be attended, -1e9 where not), a softmax that
+    raises NumericError on non-finite scores, dropout at rate p on the
+    probabilities, the context and the output projection.
+
+    Forward and backward evaluate the same numpy expressions in the same
+    order as the composed ops (matmul, add, reshape, transpose, mul, softmax,
+    dropout), so outputs and grads match them bit for bit; x receives the
+    v, k and q input grads in that order. Backward keeps only q, k, v, the
+    probabilities, the dropout mask and the context."""
+    if x.ndim != 3 or x.shape[-1] % heads:
+        raise ShapeError(f"attention expects (B, T, W) input with W divisible by {heads} "
+                         f"heads, got shape {x.shape}")
+    b, t, w = x.shape
+    hd = w // heads
+    split = (b, t, heads, hd)
+    xd = x.data
+    q = xd @ wq.data
+    q += bq.data
+    k = xd @ wk.data
+    v = xd @ wv.data
+    v += bv.data
+    qh = np.transpose(q.reshape(split), (0, 2, 1, 3))
+    kt = np.transpose(np.transpose(k.reshape(split), (0, 2, 1, 3)), (0, 1, 3, 2))
+    vh = np.transpose(v.reshape(split), (0, 2, 1, 3))
+    scale = 1.0 / np.sqrt(hd)
+    probs = qh @ kt
+    probs *= scale
+    if add_mask is not None:
+        probs += add_mask
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("non-finite input to softmax")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _dropout_keep(probs.shape, p, rng, training)
+    dropped = probs if keep is None else probs * (keep / (1.0 - p))
+    ctx = np.transpose(dropped @ vh, (0, 2, 1, 3)).reshape((b, t, w))
+    del dropped
+    out = ctx @ wo.data
+    out += bo.data
+
+    # which paths the composed ops would have recorded in this forward
+    need_q = x.requires_grad or wq.requires_grad or bq.requires_grad
+    need_k = x.requires_grad or wk.requires_grad
+    need_v = x.requires_grad or wv.requires_grad or bv.requires_grad
+
+    def merge(gh):  # (B, heads, T, hd) grads back to (B, T, W)
+        return np.transpose(gh, (0, 2, 1, 3)).reshape((b, t, w))
+
+    def bw(g):
+        dctx = _linear_grads(ctx, wo, bo, g, need_q or need_k or need_v)
+        if dctx is None:
+            return
+        dc = np.transpose(dctx.reshape(split), (0, 2, 1, 3))
+        scale_keep = None if keep is None else keep / (1.0 - p)
+        dvh = dqh = dkt = None
+        if need_v:
+            dropped = probs if scale_keep is None else probs * scale_keep
+            dvh = np.swapaxes(dropped, -1, -2) @ dc
+        if need_q or need_k:
+            ds = dc @ np.swapaxes(vh, -1, -2)
+            if scale_keep is not None:
+                ds *= scale_keep
+            dot = (ds * probs).sum(axis=-1, keepdims=True)
+            ds -= dot
+            ds *= probs
+            ds *= scale
+            if need_q:
+                dqh = ds @ np.swapaxes(kt, -1, -2)
+            if need_k:
+                dkt = np.swapaxes(qh, -1, -2) @ ds
+        if need_v:
+            _accum(x, _linear_grads(xd, wv, bv, merge(dvh), x.requires_grad))
+        if need_k:
+            _accum(x, _linear_grads(xd, wk, None, merge(np.transpose(dkt, (0, 1, 3, 2))),
+                                    x.requires_grad))
+        if need_q:
+            _accum(x, _linear_grads(xd, wq, bq, merge(dqh), x.requires_grad))
+
+    return _make(out, (x, wq, bq, wk, wv, bv, wo, bo), bw)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise `gelu(x @ w1 + b1) @ w2 + b2` with the exact (erf-based)
+    GELU, as one op. Bit for bit the composed matmul, add, gelu, matmul,
+    add; backward keeps the pre-activation u and the normal CDF phi, and
+    rebuilds the activation u * phi."""
+    xd = x.data
+    u = xd @ w1.data
+    u += b1.data
+    phi = u * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out = (u * phi) @ w2.data
+    out += b2.data
+    need_u = x.requires_grad or w1.requires_grad or b1.requires_grad
+
+    def bw(g):
+        dact = _linear_grads(u * phi if w2.requires_grad else None, w2, b2, g, need_u)
+        if dact is None:
+            return
+        pdf = np.exp(-0.5 * u * u) * _INV_SQRT2PI
+        du = dact * (phi + u * pdf)
+        _accum(x, _linear_grads(xd, w1, b1, du, x.requires_grad))
+
+    return _make(out, (x, w1, b1, w2, b2), bw)
+
+
+def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: float,
+                        rng: np.random.Generator, training: bool) -> Tensor:
+    """Post-norm residual `layer_norm(x + dropout(a))` as one op: inverted
+    dropout at rate p on the branch a (none unless training), then the last
+    axis normalized to zero mean and unit variance (1e-5 added to the
+    variance) and the affine gamma, beta. Bit for bit the composed dropout,
+    add and layer norm; x receives its grad before a. Backward keeps the
+    normalized values, the inverse deviation and the dropout mask."""
+    d = x.shape[-1]
+    if a.shape != x.shape:
+        raise ShapeError(f"residual branch shape {a.shape} != input shape {x.shape}")
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer norm affine params must have shape ({d},)")
+    keep = _dropout_keep(a.shape, p, rng, training)
+    xhat = x.data + (a.data if keep is None else a.data * (keep / (1.0 - p)))
+    mu = xhat.mean(axis=-1, keepdims=True)
+    var = xhat.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat -= mu
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+    need_r = x.requires_grad or a.requires_grad
+
+    def bw(g):
+        lead = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).sum(axis=lead))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=lead))
+        if need_r:
+            dxhat = g * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dr = (dxhat - m1 - xhat * m2) * inv
+            _accum(x, dr)
+            if a.requires_grad:
+                _accum(a, dr if keep is None else dr * (keep / (1.0 - p)))
+
+    return _make(out, (x, a, gamma, beta), bw)
 
 
 def cross_entropy_soft(logits: Tensor, targets) -> Tensor:

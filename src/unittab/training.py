@@ -370,7 +370,8 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
     """Masked-token pretraining on encoded series (whole series or windows
     cut from them). Each epoch reshuffles the series and takes a fresh
     random crop of every over-long one; steps with zero masked positions
-    are skipped (loss 0). Periodic checkpoints survive aborts."""
+    are skipped (loss 0). Periodic checkpoints survive aborts; the last
+    step is always saved, and only once."""
     cfg.validate()
     if cfg.p_f == 0.0 and cfg.p_r == 0.0:
         warnings.warn("p_f and p_r are both 0: nothing will be masked and the loss stays 0")
@@ -387,9 +388,11 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
 
     losses = _train_loop(step, len(data), model, opt, cfg, rng, "pretrain",
                          metrics_path, checkpoint_path)
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, model, opt, cfg, rng, len(losses))
-    return PretrainResult(losses, len(losses), opt)
+    steps = len(losses)
+    saved_last = steps > 0 and cfg.checkpoint_every and steps % cfg.checkpoint_every == 0
+    if checkpoint_path and not saved_last:
+        save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
+    return PretrainResult(losses, steps, opt)
 
 
 def predict(model: Model, samples, task: str, batch_size: int = 64):

@@ -84,22 +84,6 @@ def _primitive_cases(rng: np.random.Generator, inject_bug: bool):
 
     cases["softmax"] = softmax_case
 
-    def layer_norm_case(i):
-        b, d = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        w = _rand(rng, b, d)
-        xd, gd, bd = _rand(rng, b, d), _rand(rng, d), _rand(rng, d)
-        which = i % 3
-        if which == 0:
-            x = Tensor(xd, requires_grad=True)
-            return lambda t: T.sum_(T.layer_norm(t, Tensor(gd), Tensor(bd)) * w), x
-        if which == 1:
-            x = Tensor(gd, requires_grad=True)
-            return lambda t: T.sum_(T.layer_norm(Tensor(xd), t, Tensor(bd)) * w), x
-        x = Tensor(bd, requires_grad=True)
-        return lambda t: T.sum_(T.layer_norm(Tensor(xd), Tensor(gd), t) * w), x
-
-    cases["layer_norm"] = layer_norm_case
-
     def gelu_case(i):
         s = dims(2)
         w = _rand(rng, *s)
@@ -144,16 +128,51 @@ def _primitive_cases(rng: np.random.Generator, inject_bug: bool):
 
     cases["embedding_gather"] = gather_case
 
-    def dropout_case(i):
-        s = dims(2)
-        w = _rand(rng, *s)
-        x = Tensor(_rand(rng, *s), requires_grad=True)
-        seed = int(rng.integers(0, 2**31))
-        # a fresh generator per evaluation keeps the mask identical across
-        # the perturbed forward passes
-        return lambda t: T.sum_(T.dropout(t, 0.3, np.random.default_rng(seed), True) * w), x
+    def fused_case(op, shapes, i):
+        # input i % len(shapes) carries the gradient, the others are constants;
+        # half-scale inputs keep softmax and GELU off saturation, where
+        # gradients shrink below what central differences resolve
+        ins = [Tensor(0.5 * _rand(rng, *s)) for s in shapes]
+        which = i % len(ins)
+        x = Tensor(ins[which].data, requires_grad=True)
+        w = _rand(rng, *op(ins).shape)
+        return lambda t: T.sum_(op(ins[:which] + [t] + ins[which + 1:]) * w), x
 
-    cases["dropout"] = dropout_case
+    def attention_case(i):
+        b, t, heads, hd = (int(rng.integers(1, 3)), int(rng.integers(2, 4)),
+                           int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        wd = heads * hd
+        mask = None
+        if i % 2:  # mask some keys out, never the first
+            mask = np.where(rng.random((b, 1, 1, t)) < 0.4, -1e9, 0.0)
+            mask[..., 0] = 0.0
+        seed = int(rng.integers(0, 2**31))
+        # a fresh generator per evaluation keeps the dropout mask identical
+        # across the perturbed forward passes
+        op = lambda ins: T.attention(*ins, heads, mask, 0.3, np.random.default_rng(seed),
+                                     i % 3 > 0)
+        return fused_case(op, [(b, t, wd), (wd, wd), (wd,), (wd, wd), (wd, wd), (wd,),
+                               (wd, wd), (wd,)], i)
+
+    cases["attention"] = attention_case
+
+    def feed_forward_case(i):
+        b, t, d, ff = dims(4)
+        return fused_case(lambda ins: T.feed_forward(*ins),
+                          [(b, t, d), (d, ff), (ff,), (ff, d), (d,)], i)
+
+    cases["feed_forward"] = feed_forward_case
+
+    def residual_layer_norm_case(i):
+        # d >= 3: at d == 2 the normalized values are +-1 up to the 1e-5
+        # variance floor and the input gradient is about that small
+        b, d = int(rng.integers(1, 5)), int(rng.integers(3, 6))
+        seed = int(rng.integers(0, 2**31))
+        op = lambda ins: T.residual_layer_norm(*ins, 0.3, np.random.default_rng(seed),
+                                               i % 3 > 0)
+        return fused_case(op, [(b, d), (b, d), (d,), (d,)], i)
+
+    cases["residual_layer_norm"] = residual_layer_norm_case
 
     def ce_case(i):
         b, q = int(rng.integers(1, 5)), int(rng.integers(2, 7))

@@ -128,6 +128,15 @@ def test_grad_check_single_op():
     assert run_cli("grad-check", "--op", "softmax", "--trials", "3") == 0
 
 
+def test_grad_check_fused_ops(capsys):
+    assert run_cli("grad-check", "--op", "attention", "--op", "feed_forward",
+                   "--op", "residual_layer_norm", "--trials", "8") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["attention", "feed_forward",
+                                                    "residual_layer_norm"]
+    assert all(line.endswith("PASS") for line in lines)
+
+
 def test_grad_check_injected_bug_fails():
     assert run_cli("grad-check", "--op", "gelu", "--trials", "2", "--inject-bug") == 1
 
@@ -185,4 +194,4 @@ def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained
     capsys.readouterr()
     assert run_cli("eval", "--config", str(cfg_path),
                    "--checkpoint", str(root / "pre" / "model.ckpt")) == 2
-    _one_line_error(capsys, "no task head")
+    _one_line_error(capsys, "no task head", "run `unittab finetune` first")

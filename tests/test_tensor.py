@@ -6,8 +6,8 @@ import pytest
 
 from unittab.tensor import (
     GradTape, NumericError, ShapeError, Tensor, concat, cross_entropy_soft,
-    dropout, embedding_gather, gelu, grad_check, layer_norm, matmul, mean,
-    reshape, slice_, softmax, sum_, transpose,
+    embedding_gather, gelu, grad_check, matmul, mean, reshape, residual_layer_norm,
+    slice_, softmax, sum_, transpose,
 )
 from unittab.verify import check_primitives
 
@@ -73,6 +73,11 @@ def test_tensor_rejects_nonfinite():
         Tensor([1.0, np.nan])
 
 
+def layer_norm(x, gamma, beta):
+    """The layer norm alone: residual_layer_norm with a zero branch."""
+    return residual_layer_norm(x, Tensor(np.zeros(x.shape)), gamma, beta, 0.0, None, False)
+
+
 def test_layer_norm_constant_vector():
     x = Tensor([3.0, 3.0, 3.0])
     out = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -97,22 +102,38 @@ def test_gelu_zero():
     assert gelu(Tensor([0.0])).data[0] == 0.0
 
 
+def _residual_ln(x, a, p, rng, training):
+    return residual_layer_norm(x, a, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1])),
+                               p, rng, training)
+
+
 def test_dropout_p0_is_identity():
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    out = dropout(x, 0.0, np.random.default_rng(0), True)
-    assert out is x
+    x, a = Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.ones((2, 3)))
+    rng = np.random.default_rng(0)
+    out = _residual_ln(x, a, 0.0, rng, True)
+    assert np.array_equal(out.data, _residual_ln(x, a, 0.5, None, False).data)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
 
 
 def test_dropout_eval_is_identity():
-    x = Tensor(np.arange(6.0))
-    assert dropout(x, 0.5, np.random.default_rng(0), False) is x
+    x, a = Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.ones((2, 3)))
+    rng = np.random.default_rng(0)
+    out = _residual_ln(x, a, 0.5, rng, False)
+    assert np.array_equal(out.data, layer_norm(Tensor(x.data + a.data), Tensor(np.ones(3)),
+                                               Tensor(np.zeros(3))).data)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_dropout_scales_kept_units():
-    x = Tensor(np.ones(10000))
-    out = dropout(x, 0.25, np.random.default_rng(0), True)
-    kept = out.data[out.data != 0]
-    assert np.allclose(kept, 1.0 / 0.75)
+    n = 10000
+    x, a = Tensor(np.tile([0.0, 1.0, 0.0], (n, 1))), Tensor(np.tile([1.0, 0.0, 0.0], (n, 1)))
+    out = _residual_ln(x, a, 0.25, np.random.default_rng(0), True).data
+    ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    kept = layer_norm(Tensor([1.0 / 0.75, 1.0, 0.0]), ones, zeros).data
+    dropped = layer_norm(Tensor([0.0, 1.0, 0.0]), ones, zeros).data
+    is_kept = np.all(out == kept, axis=1)
+    assert np.all(is_kept | np.all(out == dropped, axis=1))
+    assert abs(is_kept.mean() - 0.75) < 0.02
 
 
 def test_embedding_gather_rows():
@@ -208,7 +229,7 @@ def _shared_graph():
     gamma = Tensor(rng.normal(size=5), requires_grad=True)
     beta = Tensor(np.zeros(5), requires_grad=True)
     h = gelu(matmul(x, w))
-    y = layer_norm(h * h + softmax(h, axis=-1), gamma, beta)
+    y = residual_layer_norm(h * h, softmax(h, axis=-1), gamma, beta, 0.0, None, False)
     return mean(y * h), (x, w, gamma, beta)
 
 
@@ -221,7 +242,7 @@ SHARED_GRAPH_LEAF_GRADS = ["17f131825f52bfad", "7214a472143e0209", "53e5554eaf2e
 def test_backward_keeps_grads_on_leaves_only():
     root, leaves = _shared_graph()
     interior = GradTape.trace(root).ops
-    assert len(interior) == 8
+    assert len(interior) == 7
     root.backward()
     assert all(t.grad is None for t in interior)
     assert [hashlib.sha256(p.grad.tobytes()).hexdigest()[:16] for p in leaves] == \

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import weakref
@@ -13,6 +14,7 @@ from unittab.metrics import UndefinedMetricError
 from unittab.model import (
     LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
 )
+from unittab import training
 from unittab.tensor import NumericError, Tensor, softmax
 from unittab.training import (
     AdamW, LabelError, TrainConfig, _train_loop, apply_masking, evaluate, finetune,
@@ -686,6 +688,33 @@ def test_pretrain_abort_preserves_last_checkpoint(tmp_path):
         pretrain(encoded, model, cfg, checkpoint_path=path)
     state = load_checkpoint(path, model.schema)
     assert state.step == 4  # last periodic checkpoint before the failure
+
+
+# sha256 of the whole file, recorded when pretrain still wrote the last step
+# a second time after the loop
+PRETRAIN_CHECKPOINT_SHA256 = {
+    4: "622c71f78cecb8a8495bd32f5c7f90d68b1bd699c491671d666f236bdecdd33c",
+    5: "c44e13e268614ec4ed88f68b2a4cde0befb7e13599b3e82efdf477bc8afe05a1",
+}
+
+
+@pytest.mark.parametrize("max_steps, saved_steps", [(4, [2, 4]), (5, [2, 4, 5])])
+def test_pretrain_writes_each_checkpoint_step_once(max_steps, saved_steps, tmp_path,
+                                                   monkeypatch):
+    model, encoded = small_pretrain_setup()
+    cfg = TrainConfig(p_f=0.3, lr=1e-3, batch_size=2, epochs=50, seed=6, checkpoint_every=2,
+                      max_steps=max_steps)
+    steps = []
+
+    def spy(path, model, optimizer, train_cfg, rng, step):
+        steps.append(step)
+        save_checkpoint(path, model, optimizer, train_cfg, rng, step)
+
+    monkeypatch.setattr(training, "save_checkpoint", spy)
+    path = tmp_path / "m.ckpt"
+    pretrain(encoded, model, cfg, checkpoint_path=path)
+    assert steps == saved_steps
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRETRAIN_CHECKPOINT_SHA256[max_steps]
 
 
 @pytest.mark.parametrize("which, key, value", [
