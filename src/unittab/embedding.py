@@ -21,6 +21,7 @@ for one call.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -35,6 +36,7 @@ from .schema import (
 from .tensor import Tensor, embedding_gather, matmul
 
 _CLAMP_COUNT = [0]
+_CLAMP_LOCK = threading.Lock()  # predict's two lanes may clamp at once
 
 
 def clamp_count() -> int:
@@ -56,7 +58,8 @@ def freq_encode(v: np.ndarray, L: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     bad = int(np.sum((v < 0.0) | (v > 1.0)))
     if bad:
-        _CLAMP_COUNT[0] += bad
+        with _CLAMP_LOCK:
+            _CLAMP_COUNT[0] += bad
         warnings.warn(f"{bad} value(s) outside [0,1] clamped before frequency encoding")
         v = np.clip(v, 0.0, 1.0)
     angles = (2.0 ** np.arange(L)) * np.pi * v[..., None]  # (..., L)
@@ -145,7 +148,7 @@ def expand_series(series: TimeSeries, schema: Schema) -> TimeSeries:
 # numeric array encoding of expanded rows (model-ready form)
 
 
-@dataclass
+@dataclass(slots=True)
 class EncodedRow:
     type_id: int
     cat_ids: np.ndarray    # int64 (k,), -1 where missing or numerical

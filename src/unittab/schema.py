@@ -37,17 +37,17 @@ class DegenerateAttributeError(SchemaError):
 # field values (tagged union)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cat:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Time:
     year: int
     month: int  # 1..12
@@ -203,7 +203,7 @@ class SlotTables:
 # rows and series
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     type_id: int
     values: list[FieldValue]

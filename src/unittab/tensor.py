@@ -16,7 +16,12 @@ Each encoder sublayer is one fused op with a hand-written backward:
 chain of small ops it stands for in the same order and draws the same
 dropout shapes, so outputs and grads are bit-identical to that chain; its
 graph keeps only the arrays its backward reads, and it computes a grad only
-for an input that requires one.
+for an input that requires one. When no input requires a grad, a fused op
+keeps no backward buffers: ``attention`` frees q, k, v and the
+probabilities before its output projection, and ``feed_forward`` and
+``residual_layer_norm`` overwrite their intermediates in place (the same
+IEEE operations on the same operands, so the same bits). An inference
+forward therefore peaks lower than a training one.
 
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
@@ -435,13 +440,14 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     dropped = probs if keep is None else probs * (keep / (1.0 - p))
     ctx = np.transpose(dropped @ vh, (0, 2, 1, 3)).reshape((b, t, w))
     del dropped
-    out = ctx @ wo.data
-    out += bo.data
-
     # which paths the composed ops would have recorded in this forward
     need_q = x.requires_grad or wq.requires_grad or bq.requires_grad
     need_k = x.requires_grad or wk.requires_grad
     need_v = x.requires_grad or wv.requires_grad or bv.requires_grad
+    if not (need_q or need_k or need_v or wo.requires_grad or bo.requires_grad):
+        del q, k, v, qh, kt, vh, probs, keep  # no backward will read them
+    out = ctx @ wo.data
+    out += bo.data
 
     def merge(gh):  # (B, heads, T, hd) grads back to (B, T, W)
         return np.transpose(gh, (0, 2, 1, 3)).reshape((b, t, w))
@@ -483,7 +489,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     """Position-wise `gelu(x @ w1 + b1) @ w2 + b2` with the exact (erf-based)
     GELU, as one op. Bit for bit the composed matmul, add, gelu, matmul,
     add; backward keeps the pre-activation u and the normal CDF phi, and
-    rebuilds the activation u * phi."""
+    rebuilds the activation u * phi. With no input requiring a grad, the
+    activation overwrites phi and u is freed before the second product."""
     xd = x.data
     u = xd @ w1.data
     u += b1.data
@@ -491,9 +498,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    out = (u * phi) @ w2.data
-    out += b2.data
     need_u = x.requires_grad or w1.requires_grad or b1.requires_grad
+    if need_u or w2.requires_grad or b2.requires_grad:
+        out = (u * phi) @ w2.data
+    else:  # no backward will read u or phi
+        phi *= u
+        del u
+        out = phi @ w2.data
+    out += b2.data
 
     def bw(g):
         dact = _linear_grads(u * phi if w2.requires_grad else None, w2, b2, g, need_u)
@@ -513,7 +525,8 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     axis normalized to zero mean and unit variance (1e-5 added to the
     variance) and the affine gamma, beta. Bit for bit the composed dropout,
     add and layer norm; x receives its grad before a. Backward keeps the
-    normalized values, the inverse deviation and the dropout mask."""
+    normalized values, the inverse deviation and the dropout mask; with no
+    input requiring a grad, the affine overwrites the normalized values."""
     d = x.shape[-1]
     if a.shape != x.shape:
         raise ShapeError(f"residual branch shape {a.shape} != input shape {x.shape}")
@@ -526,9 +539,13 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat -= mu
     xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
     need_r = x.requires_grad or a.requires_grad
+    if need_r or gamma.requires_grad or beta.requires_grad:
+        out = xhat * gamma.data
+    else:  # no backward will read xhat
+        out = xhat
+        out *= gamma.data
+    out += beta.data
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))

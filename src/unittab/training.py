@@ -25,7 +25,9 @@ entropy over masked positions so the learning rate is batch-size stable.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -395,18 +397,47 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
     return PretrainResult(losses, steps, opt)
 
 
+# predict's second lane: one worker thread, started by the first submit
+_LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="unittab-predict")
+
+
+def _score_batch(model: Model, batch, task: str) -> np.ndarray:
+    out = model.finetune_forward(batch, rng=None, training=False)
+    return out.data if task == "regression" else softmax(out, axis=-1).data[:, 1]
+
+
 def predict(model: Model, samples, task: str, batch_size: int = 64):
     """Deterministic forward (dropout off) with every parameter frozen, so
     no batch records a tape. Returns one value per sample: the prediction
-    for regression, P(class 1) for binary."""
-    preds = []
+    for regression, P(class 1) for binary.
+
+    The batches are the `batch_size` slices of `samples` in order. When the
+    process may run on two or more CPUs (`os.sched_getaffinity`) and there
+    are at least two batches, they run in pairs on two lanes: the calling
+    thread scores one batch while one persistent worker thread scores the
+    next. numpy's products and ufuncs release the GIL, so the two overlap.
+    Each score is computed from the same batch by the same operations as on
+    one lane, so it has the same bits; results join in batch order. At
+    most two batches are in flight, so inference holds at most two batches'
+    intermediates at once. Both lanes run inside one `model.frozen` block,
+    which exits only after the worker's batch has finished, also on error;
+    the error of the earliest failing batch is raised."""
+    batches = list(_batched(samples, batch_size))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    lanes = 2 if len(batches) > 1 and len(cpus) > 1 else 1
+    scores = []
     with model.frozen(model.params):
-        for batch in _batched(samples, batch_size):
-            out = model.finetune_forward(batch, rng=None, training=False)
-            preds.extend(out.data.tolist() if task == "regression"
-                         else softmax(out, axis=-1).data[:, 1].tolist())
-            del out  # the next batch is built without this one's output alive
-    return np.asarray(preds)
+        for lo in range(0, len(batches), lanes):
+            batch, *rest = batches[lo:lo + lanes]
+            ahead = _LANE.submit(_score_batch, model, rest[0], task) if rest else None
+            try:
+                scores.append(_score_batch(model, batch, task))
+            finally:
+                if ahead is not None:
+                    wait([ahead])
+            if ahead is not None:
+                scores.append(ahead.result())
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 def _check_binary_labels(samples, split: str) -> None:

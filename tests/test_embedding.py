@@ -1,10 +1,15 @@
+import copy
 import math
+import pickle
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from unittab.embedding import (
-    build_bank, clamp_count, embed_slot_batch, expand_schema, expand_series,
+    EncodedRow, build_bank, clamp_count, embed_slot_batch, expand_schema, expand_series,
     freq_encode, prepare_series, reset_clamp_count, split_timestamp,
 )
 from unittab.schema import Cat, Missing, Num, Time
@@ -63,6 +68,44 @@ def test_freq_encode_clamps_and_counts():
     assert clamp_count() == 1
     assert np.allclose(out, freq_encode(1.0, 2))
     reset_clamp_count()
+
+
+def test_freq_encode_counts_every_clamp_across_threads():
+    """Four threads clamp at once with a one-microsecond switch interval;
+    the count must come out exact."""
+    calls, threads = 1000, 4
+
+    def clamp():
+        for _ in range(calls):
+            freq_encode(np.array([-1.0, 2.0]), 1)
+
+    reset_clamp_count()
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=clamp) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert clamp_count() == 2 * calls * threads
+    reset_clamp_count()
+
+
+def test_encoded_row_is_slotted_and_survives_copy_and_pickle():
+    row = EncodedRow(2, np.array([3, -1]), np.array([np.nan, 0.5]), np.array([False, True]))
+    assert not hasattr(row, "__dict__")
+    for again in (copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+        assert again.type_id == 2
+        assert np.array_equal(again.cat_ids, row.cat_ids)
+        assert np.array_equal(again.num_vals, row.num_vals, equal_nan=True)
+        assert np.array_equal(again.is_missing, row.is_missing)
+        assert again.cat_ids is not row.cat_ids
 
 
 def test_split_timestamp_zero_based():

@@ -170,6 +170,49 @@ def test_fused_op_alone_matches_composed_op_bitwise(op):
             assert np.array_equal(grads[k], t.grad), k
 
 
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("op", list(REFERENCE), ids=lambda op: op.__name__)
+def test_fused_op_with_every_input_frozen_gives_the_same_output(op, training):
+    """With no input requiring a grad, each op frees or overwrites its
+    intermediates in place; the output keeps its bits."""
+    args = {
+        attention: lambda w: (w["x"], w["wq"], w["bq"], w["wk"], w["wv"], w["bv"], w["wo"],
+                              w["bo"], 3, None, 0.2, np.random.default_rng(1), training),
+        feed_forward: lambda w: (w["x"], w["w1"], w["b1"], w["w2"], w["b2"]),
+        residual_layer_norm: lambda w: (w["x"], w["bo"] * w["x"], w["g1"], w["beta1"], 0.2,
+                                        np.random.default_rng(1), training),
+    }[op]
+    recording = op(*args(leaves(2, 4, 6, 3, seed=5)))
+    frozen_leaves = leaves(2, 4, 6, 3, seed=5)
+    for t in frozen_leaves.values():
+        t.requires_grad = False
+    frozen = op(*args(frozen_leaves))
+    assert recording._backward_fn is not None and frozen._backward_fn is None
+    assert np.array_equal(frozen.data, recording.data)
+
+
+def test_frozen_layer_peaks_below_a_recording_one():
+    """tracemalloc peak of one inference layer at the full preset's sequence
+    shape: with every input frozen, no op keeps a backward buffer."""
+
+    def peak(frozen):
+        w = leaves(16, 30, 144, 12, seed=0)
+        for t in w.values():
+            t.requires_grad = not frozen
+        add_mask = np.zeros((16, 1, 1, 30))
+        tracemalloc.start()
+        try:
+            out = block(FUSED, w["x"], w, 12, add_mask, 0.1, None, False)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        return top
+
+    frozen, recording = peak(True), peak(False)
+    assert frozen < 0.5 * recording, (frozen, recording)
+
+
 def test_fused_layer_holds_less_memory_than_composed_ops():
     """The graph of one training layer, at the full preset's sequence
     shape, measured by tracemalloc while its output is alive."""

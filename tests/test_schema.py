@@ -1,11 +1,13 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from unittab.schema import (
-    AttributeSpec, Cat, DegenerateAttributeError, Missing, Row, SchemaError, Time,
+    AttributeSpec, Cat, DegenerateAttributeError, Missing, Num, Row, SchemaError, Time,
     fit_bins, fit_schema, fit_vocab, quantize_array, schema_from_json, schema_hash,
     schema_to_json, validate, vocab_index, NUMERICAL,
 )
@@ -19,6 +21,19 @@ def quantile_oracle(sorted_vals, fraction):
     hi = min(lo + 1, len(sorted_vals) - 1)
     w = pos - lo
     return sorted_vals[lo] * (1 - w) + sorted_vals[hi] * w
+
+
+@pytest.mark.parametrize("value", [
+    Cat(3), Num(0.25), Time(2021, 2, 3), Time(2021, 2, 3, 4),
+    Row(1, [Time(2021, 1, 1), Cat(0), Num(1.5), Missing]),
+], ids=lambda v: type(v).__name__)
+def test_slotted_values_survive_copy_and_pickle(value):
+    assert not hasattr(value, "__dict__")
+    for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert again == value and type(again) is type(value)
+    if isinstance(value, Row):
+        again = copy.deepcopy(value)
+        assert again.values is not value.values and again.values[3] is Missing
 
 
 def test_validate_well_formed_series():

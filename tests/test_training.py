@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from unittab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from unittab.data import PollutionConfig, gen_pollution_like
-from unittab.embedding import prepare_series
+from unittab.embedding import clamp_count, prepare_series, reset_clamp_count
 from unittab.metrics import UndefinedMetricError
 from unittab.model import (
     LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
@@ -21,6 +24,7 @@ from unittab.training import (
     masked_token_loss, predict, pretrain, pretrain_loss, regression_loss,
     smooth_categorical, smooth_neighborhood,
 )
+from unittab.schema import Cat, Num, Row, Time, TimeSeries
 from conftest import make_tiny_schema, make_tiny_series
 
 
@@ -585,16 +589,6 @@ def test_predict_records_no_tape_and_restores_requires_grad():
                                for p in softmax(out, axis=-1).data[:, 1].tolist()]
 
 
-def test_predict_restores_requires_grad_when_the_forward_raises():
-    expanded, encoded = labeled_encoded()
-    model = tiny_finetune_model(expanded)
-    model.ensure_task_head("regression")
-    encoded[5].rows = encoded[5].rows * 2  # 8 rows; the model's t_max is 6
-    with pytest.raises(LengthError):
-        predict(model, encoded, "regression", batch_size=4)
-    assert all(p.requires_grad for p in model.params.values())
-
-
 def test_frozen_forward_has_no_backward():
     expanded, encoded = labeled_encoded()
     model = tiny_finetune_model(expanded)
@@ -604,6 +598,142 @@ def test_frozen_forward_has_no_backward():
         assert not any(p.requires_grad for p in model.params.values())
     assert out._backward_fn is None and out._parents == ()
     assert all(p.requires_grad for p in model.params.values())
+
+
+def mixed_length_samples(task, n, out_of_range=False):
+    """`n` labelled tiny samples of 1 to 6 rows (the tiny model's t_max is
+    6); with `out_of_range`, every amount lies above the schema's [0, 3]."""
+    series = [TimeSeries(f"e{i}", [Row(1, [Time(2021, 1, r + 1), Cat((i + r) % 3),
+                                           Num((4.0 if out_of_range else 0.5) + 0.4 * r)])
+                                   for r in range(1 + i % 6)])
+              for i in range(n)]
+    expanded, encoded = prepare_series(series, make_tiny_schema())
+    for i, s in enumerate(encoded):
+        s.label = i % 2 if task == "binary" else 0.25 * i
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head(task)
+    return model, encoded
+
+
+def sequential_predict(model, samples, task, batch_size):
+    """The one-lane reference: finetune_forward over the same slices, in
+    order, under one frozen block."""
+    scores = []
+    with model.frozen(model.params):
+        for lo in range(0, len(samples), batch_size):
+            out = model.finetune_forward(samples[lo:lo + batch_size], rng=None, training=False)
+            scores.append(out.data if task == "regression"
+                          else softmax(out, axis=-1).data[:, 1])
+    return np.concatenate(scores)
+
+
+def cpus(monkeypatch, n):
+    """Let predict see `n` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def lanes_used(model):
+    """Record the thread each finetune_forward runs on, and how many run at
+    once (`active` must be back to 0 once predict returns or raises)."""
+    seen = {"threads": [], "active": 0}
+    forward = model.finetune_forward
+
+    def spied(batch, *args, **kwargs):
+        seen["threads"].append(threading.current_thread())
+        seen["active"] += 1
+        try:
+            return forward(batch, *args, **kwargs)
+        finally:
+            seen["active"] -= 1
+
+    model.finetune_forward = spied
+    return seen
+
+
+@pytest.mark.parametrize("task", ["binary", "regression"])
+@pytest.mark.parametrize("batch_size", [1, 3, 7, 64])
+def test_two_lane_predict_matches_sequential_reference_bitwise(task, batch_size, monkeypatch):
+    # 141 samples: odd batch counts at every size (141, 47, 21, 3) and a
+    # short last batch at 7 and 64
+    model, samples = mixed_length_samples(task, 141)
+    reference = sequential_predict(model, samples, task, batch_size)
+    cpus(monkeypatch, 2)
+    seen = lanes_used(model)
+    scores = predict(model, samples, task, batch_size)
+    assert scores.dtype == np.float64 and scores.shape == (141,)
+    assert np.array_equal(scores, reference)
+    n_batches = -(-141 // batch_size)
+    on_worker = [t for t in seen["threads"] if t is not threading.current_thread()]
+    assert len(on_worker) == n_batches // 2  # every second batch ran on the worker lane
+    assert seen["active"] == 0
+
+
+@pytest.mark.parametrize("n_cpus, n_samples, batch_size", [(1, 141, 7), (2, 20, 64)],
+                         ids=["one_cpu", "one_batch"])
+def test_predict_without_a_second_lane_submits_nothing(n_cpus, n_samples, batch_size,
+                                                        monkeypatch):
+    model, samples = mixed_length_samples("binary", n_samples)
+    monkeypatch.setattr(training._LANE, "submit", lambda *args: pytest.fail("submitted"))
+    cpus(monkeypatch, n_cpus)
+    scores = predict(model, samples, "binary", batch_size)
+    assert np.array_equal(scores, sequential_predict(model, samples, "binary", batch_size))
+
+
+def test_predict_restores_requires_grad_when_the_forward_raises(monkeypatch):
+    model, samples = mixed_length_samples("binary", 12)
+    samples[5].rows = samples[5].rows * 3  # over t_max, in batch 1: the worker lane's
+    model.params["seq.pos.table"].requires_grad = False
+    flags = {k: p.requires_grad for k, p in model.params.items()}
+    cpus(monkeypatch, 1)
+    with pytest.raises(LengthError) as one_lane:
+        predict(model, samples, "binary", batch_size=4)
+    cpus(monkeypatch, 2)
+    seen = lanes_used(model)
+    with pytest.raises(LengthError) as two_lanes:
+        predict(model, samples, "binary", batch_size=4)
+    assert str(two_lanes.value) == str(one_lane.value)
+    assert seen["threads"][1] is not threading.current_thread()
+    assert seen["active"] == 0
+    assert {k: p.requires_grad for k, p in model.params.items()} == flags
+
+
+def test_two_lane_predict_waits_for_the_worker_and_raises_the_earliest_error(monkeypatch):
+    model, samples = mixed_length_samples("binary", 12)
+    samples[1].rows = samples[1].rows * 4  # batch 0, on the calling thread
+    samples[9].rows = samples[9].rows * 3  # batch 2, never started
+    cpus(monkeypatch, 2)
+    seen = lanes_used(model)
+    forward, finished = model.finetune_forward, []
+
+    def slow_on_worker(batch, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.3)  # batch 1 is still running when batch 0 fails
+        out = forward(batch, *args, **kwargs)
+        finished.append(len(batch))
+        return out
+
+    model.finetune_forward = slow_on_worker
+    with pytest.raises(LengthError, match=f"sequence length {len(samples[1].rows)} exceeds"):
+        predict(model, samples, "binary", batch_size=4)
+    assert finished == [4]  # the worker's batch ended before predict raised
+    assert seen["active"] == 0 and len(seen["threads"]) == 2
+    assert all(p.requires_grad for p in model.params.values())
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped before frequency encoding")
+def test_two_lane_predict_counts_every_clamp(monkeypatch):
+    model, samples = mixed_length_samples("binary", 141, out_of_range=True)
+    cpus(monkeypatch, 1)
+    reset_clamp_count()
+    one_lane = predict(model, samples, "binary", 3)
+    clamps = clamp_count()
+    assert clamps == sum(len(s.rows) for s in samples)  # every amount is out of range
+    cpus(monkeypatch, 2)
+    reset_clamp_count()
+    two_lanes = predict(model, samples, "binary", 3)
+    assert clamp_count() == clamps
+    assert np.array_equal(two_lanes, one_lane)
+    reset_clamp_count()
 
 
 # -- checkpointing
@@ -691,10 +821,11 @@ def test_pretrain_abort_preserves_last_checkpoint(tmp_path):
 
 
 # sha256 of the whole file, recorded when pretrain still wrote the last step
-# a second time after the loop
+# a second time after the loop, and re-recorded once under the OpenBLAS kernel
+# conftest.py pins
 PRETRAIN_CHECKPOINT_SHA256 = {
-    4: "622c71f78cecb8a8495bd32f5c7f90d68b1bd699c491671d666f236bdecdd33c",
-    5: "c44e13e268614ec4ed88f68b2a4cde0befb7e13599b3e82efdf477bc8afe05a1",
+    4: "ddee63729f72c239d27b3a9e203c6c646438fe68c7901c710ed44385712e45af",
+    5: "06681516eb89b624f7456638c917c3de35b45790d7f0e112c0863077bf4842e1",
 }
 
 
