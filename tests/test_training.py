@@ -18,13 +18,13 @@ from unittab.model import (
     LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
 )
 from unittab import training
+from unittab.schema import Cat, Num, Row, Time, TimeSeries
 from unittab.tensor import NumericError, Tensor, softmax
 from unittab.training import (
     AdamW, LabelError, TrainConfig, _train_loop, apply_masking, evaluate, finetune,
     masked_token_loss, predict, pretrain, pretrain_loss, regression_loss,
     smooth_categorical, smooth_neighborhood,
 )
-from unittab.schema import Cat, Num, Row, Time, TimeSeries
 from conftest import make_tiny_schema, make_tiny_series
 
 
