@@ -8,7 +8,7 @@ from unittab.data import PollutionConfig, gen_pollution_like
 from unittab.embedding import freq_encode, prepare_series, split_timestamp
 from unittab.model import smoothed_bin_targets, smoothed_class_targets
 from unittab.schema import Time, quantize_array
-from unittab.training import TrainConfig, apply_masking, smooth_categorical, smooth_neighborhood
+from unittab.training import TrainConfig, apply_masking
 
 # Frequency features: interleaved sin/cos at geometrically spaced frequencies.
 # Nearby values share low-frequency components but differ at high frequency,
@@ -35,7 +35,7 @@ print(f"\nmasked {n_masked} of {n_slots} input slots; {len(sample.targets)} targ
 
 # Targets are (row, field) positions; the model's batch forward turns the
 # source values at those positions into smoothed distributions, once per
-# attribute for the whole batch. Here the same functions run on one target each.
+# attribute for the whole batch. Here the same builders run on one target each.
 names = expanded.row_types[0].attributes
 for row, field in sample.targets[:4].tolist():
     spec = expanded.attributes[names[field]]
@@ -51,13 +51,15 @@ for row, field in sample.targets[:4].tolist():
     print(f"  row {row:2d} field {names[field]:20s} {kind:12s} "
           f"support={int(np.count_nonzero(dist)):3d} sum={dist.sum():.12f}")
 
-# The two smoothing rules side by side for a 12-bin vocabulary.
+# The two smoothing rules side by side for a 12-bin vocabulary: one row per
+# label, as the batch builders emit them.
 print("\ncategorical smoothing, v=4, eps=0.1:")
-print(" ", np.round(smooth_categorical(4, 12, 0.1), 4).tolist())
+print(" ", np.round(smoothed_class_targets([4], 12, 0.1)[0], 4).tolist())
+near, edge = smoothed_bin_targets([4, 0], 12, 0.1, 2)
 print("neighborhood smoothing, b=4, eps=0.1, radius=2:")
-print(" ", np.round(smooth_neighborhood(4, 12, 0.1, 2), 4).tolist())
+print(" ", np.round(near, 4).tolist())
 print("boundary bin b=0 renormalizes eps over the surviving neighbors:")
-print(" ", np.round(smooth_neighborhood(0, 12, 0.1, 2), 4).tolist())
+print(" ", np.round(edge, 4).tolist())
 
 # Timestamp subfields are one maskable unit: never split.
 ts_slots = [i for i, n in enumerate(names) if expanded.attributes[n].group == "timestamp"]

@@ -14,9 +14,7 @@ from .schema import (
     fit_bins, fit_schema, fit_vocab, schema_from_json, schema_hash,
     schema_to_json, validate,
 )
-from .embedding import (
-    expand_schema, expand_series, freq_encode, prepare_series, split_timestamp,
-)
+from .embedding import expand_schema, freq_encode, prepare_series, split_timestamp
 from .data import (
     DatasetSplit, MultitypeConfig, PollutionConfig, balance_upsample,
     gen_multitype_transactions, gen_pollution_like, last_crop, random_crop, read_csv,
@@ -24,8 +22,8 @@ from .data import (
 )
 from .model import Model, ModelConfig, expected_param_count
 from .training import (
-    AdamW, TrainConfig, apply_masking, evaluate, finetune, masked_token_loss,
-    pretrain, regression_loss, smooth_categorical, smooth_neighborhood,
+    AdamW, TrainConfig, apply_masking, evaluate, finetune, masked_token_loss, pretrain,
+    regression_loss,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (

@@ -38,6 +38,15 @@ class UsageError(Exception):
 _DATA_KEYS = {"dir", "checkpoint", "test_fraction", "window_t", "window_stride", "split_seed"}
 
 
+def _env_seed(default: int | None) -> int | None:
+    """The UNITTAB_SEED environment variable as an int; `default` when unset."""
+    raw = os.environ.get("UNITTAB_SEED")
+    try:
+        return default if raw is None else int(raw)
+    except ValueError:
+        raise UsageError(f"UNITTAB_SEED must be an integer, got {raw!r}") from None
+
+
 def load_run_config(path, overrides: dict) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -65,9 +74,9 @@ def load_run_config(path, overrides: dict) -> dict:
         raise UsageError("; ".join(problems))
     cfg = {"model": dict(raw.get("model", {})), "train": dict(raw.get("train", {})),
            "data": dict(raw.get("data", {})), "out_dir": raw.get("out_dir", "run")}
-    env_seed = os.environ.get("UNITTAB_SEED")
-    if env_seed is not None:
-        cfg["train"]["seed"] = int(env_seed)
+    seed = _env_seed(None)
+    if seed is not None:
+        cfg["train"]["seed"] = seed
     for key, value in overrides.items():
         if value is None:
             continue
@@ -140,7 +149,7 @@ def _load_task(cfg: dict):
 
 
 def cmd_gen_data(args) -> int:
-    seed = int(os.environ.get("UNITTAB_SEED", args.seed))
+    seed = _env_seed(args.seed)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

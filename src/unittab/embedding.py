@@ -124,26 +124,6 @@ def expand_schema(schema: Schema) -> Schema:
     return Schema(attrs, row_types, version=schema.version)
 
 
-def expand_series(series: TimeSeries, schema: Schema) -> TimeSeries:
-    """Expand timestamp values to match expand_schema(schema)."""
-    rows = []
-    for row in series.rows:
-        rt = schema.row_type(row.type_id)
-        values = []
-        for name, v in zip(rt.attributes, row.values):
-            spec = schema.attributes[name]
-            if spec.kind == TIMESTAMP:
-                n_sub = 4 if spec.with_hour else 3
-                if v is Missing:
-                    values.extend([Missing] * n_sub)
-                else:
-                    values.extend(split_timestamp(v, spec.years, spec.with_hour))
-            else:
-                values.append(v)
-        rows.append(Row(row.type_id, values))
-    return TimeSeries(series.entity_id, rows, series.label)
-
-
 # ---------------------------------------------------------------------------
 # numeric array encoding of expanded rows (model-ready form)
 

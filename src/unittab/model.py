@@ -143,22 +143,16 @@ class _RowLayout:
 
 
 def smoothed_class_targets(labels: np.ndarray, q: int, eps: float) -> np.ndarray:
-    """Rows of `training.smooth_categorical`, bit for bit: 1 - eps at the
-    label, eps spread evenly over the other q - 1 classes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and not (0 <= labels.min() and labels.max() < q):
-        raise ValueError(f"class labels out of range for vocabulary size {q}")
-    if q == 1:
-        return np.ones((labels.size, 1))
-    p = np.full((labels.size, q), eps / (q - 1))
-    p[np.arange(labels.size), labels] = 1.0 - eps
-    return p
+    """One target row per label: 1 - eps at the label, eps spread evenly
+    over the other q - 1 classes. This is bin smoothing with a radius that
+    spans the vocabulary."""
+    return smoothed_bin_targets(labels, q, eps, q)
 
 
 def smoothed_bin_targets(bins: np.ndarray, q: int, eps: float, radius: int) -> np.ndarray:
-    """Rows of `training.smooth_neighborhood`, bit for bit: 1 - eps at the
-    bin, eps shared by the in-range bins within `radius`, and all mass at
-    the bin when it has no such neighbor."""
+    """One target row per bin: 1 - eps at the bin, eps shared by the
+    in-range bins within `radius`, and all mass at the bin when it has no
+    such neighbor."""
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size and not (0 <= bins.min() and bins.max() < q):
         raise ValueError(f"bins out of range for {q} bins")
@@ -194,11 +188,8 @@ class Model:
 
         for name in sorted(schema.attributes):
             spec = schema.attributes[name]
-            out = self._head_out_size(spec)
-            self._param(f"heads.{name}.w1", (config.d, config.d), rng)
-            self._param(f"heads.{name}.b1", (config.d,), rng, zero=True)
-            self._param(f"heads.{name}.w2", (config.d, out), rng)
-            self._param(f"heads.{name}.b2", (out,), rng, zero=True)
+            scalar = spec.kind == NUMERICAL and config.numeric_target == "scalar"
+            self._init_head(f"heads.{name}", config.d, 1 if scalar else spec.target_size(), rng)
 
         if config.task_head:
             self._init_task_head(rng)
@@ -235,18 +226,15 @@ class Model:
             self._param(f"{p}.ffn.w2.weight", (ff, width), rng)
             self._param(f"{p}.ffn.w2.bias", (width,), rng, zero=True)
 
-    def _head_out_size(self, spec) -> int:
-        if spec.kind == NUMERICAL and self.config.numeric_target == "scalar":
-            return 1
-        return spec.target_size()
+    def _init_head(self, prefix: str, width: int, out: int, rng) -> None:
+        self._param(f"{prefix}.w1", (width, width), rng)
+        self._param(f"{prefix}.b1", (width,), rng, zero=True)
+        self._param(f"{prefix}.w2", (width, out), rng)
+        self._param(f"{prefix}.b2", (out,), rng, zero=True)
 
     def _init_task_head(self, rng) -> None:
-        m = self.config.m
-        out = 1 if self.config.task_head == "regression" else 2
-        self._param("finetune.w1", (m, m), rng)
-        self._param("finetune.b1", (m,), rng, zero=True)
-        self._param("finetune.w2", (m, out), rng)
-        self._param("finetune.b2", (out,), rng, zero=True)
+        self._init_head("finetune", self.config.m,
+                        1 if self.config.task_head == "regression" else 2, rng)
 
     def ensure_task_head(self, task: str, seed: int = 0) -> None:
         if task not in ("regression", "binary"):
@@ -347,11 +335,13 @@ class Model:
                             x, add_mask, rng, training)
         return out * Tensor(real[:, :, None].astype(np.float64))
 
-    def _head(self, attr: str, x: Tensor) -> Tensor:
-        h = gelu(matmul(x, self.params[f"heads.{attr}.w1"]) + self.params[f"heads.{attr}.b1"])
-        return matmul(h, self.params[f"heads.{attr}.w2"]) + self.params[f"heads.{attr}.b2"]
+    def _head(self, prefix: str, x: Tensor) -> Tensor:
+        """Two-layer GELU MLP: `heads.<attr>` or the task head `finetune`."""
+        P = self.params
+        h = gelu(matmul(x, P[f"{prefix}.w1"]) + P[f"{prefix}.b1"])
+        return matmul(h, P[f"{prefix}.w2"]) + P[f"{prefix}.b2"]
 
-    # -- batch assembly shared by the two end-to-end passes
+    # -- batch encoding shared by the two end-to-end passes
 
     def _project_rows(self, rows_by_sample, masks_by_sample, rng, training):
         """Group all rows by type, embed fields, run the Field Transformer,
@@ -377,13 +367,23 @@ class Model:
             projected.append(self.project_row(x, h))
         return concat(projected, axis=0), layout
 
-    def _assemble_sequence(self, proj: Tensor, layout: _RowLayout) -> tuple[Tensor, np.ndarray]:
-        table = concat([proj, Tensor(np.zeros((1, self.config.m)))], axis=0)
-        b, t = layout.shape
-        gather_ids = np.full(b * t, proj.shape[0], dtype=np.int64)
+    def _encode(self, rows_by_sample, masks_by_sample, rng, training: bool,
+                with_cls: bool) -> tuple[Tensor, _RowLayout]:
+        """`_project_rows`, then the row vectors at their sequence positions
+        (zero rows pad), behind a [CLS] slot when `with_cls`, through the
+        Sequence Transformer. Returns its output and the _RowLayout."""
+        proj, layout = self._project_rows(rows_by_sample, masks_by_sample, rng, training)
+        (b, t), m, n = layout.shape, self.config.m, proj.shape[0]
+        gather_ids = np.full(b * t, n, dtype=np.int64)
         gather_ids[layout.row_flat] = np.arange(layout.row_flat.size)
-        seq = reshape(embedding_gather(table, gather_ids), (b, t, self.config.m))
-        return seq, gather_ids.reshape(b, t) < proj.shape[0]
+        seq = reshape(embedding_gather(concat([proj, Tensor(np.zeros((1, m)))], axis=0),
+                                       gather_ids), (b, t, m))
+        real = gather_ids.reshape(b, t) < n
+        if with_cls:
+            cls = embedding_gather(self.params["embed.cls"], np.zeros(b, dtype=np.int64))
+            seq = concat([reshape(cls, (b, 1, m)), seq], axis=1)
+            real = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
+        return self.sequence_forward(seq, real, rng, training, with_cls=with_cls), layout
 
     def pretrain_forward(self, batch, rng=None, training: bool = True) -> PretrainOutput:
         """Masked-token pass: logits (or scalar predictions in regression
@@ -392,10 +392,8 @@ class Model:
         field) order. Class and bin labels come from the untouched source
         values and are smoothed once per attribute for the whole batch."""
         rows_by_sample = [s.rows for s in batch]
-        masks_by_sample = [s.mask for s in batch]
-        b = len(batch)
         t = max(len(r) for r in rows_by_sample)
-        if t > self.config.t_max:
+        if t > self.config.t_max:  # sequence_forward's check, ahead of the zero-target return
             raise LengthError(f"sequence length {t} exceeds t_max={self.config.t_max}")
         n_masked = sum(len(s.targets) for s in batch)
         out = PretrainOutput(cat_groups=[], reg_groups=[], n_masked=n_masked)
@@ -405,11 +403,9 @@ class Model:
         if len(smoothing) != 1:
             raise ModelError("all samples of a batch must share one label smoothing setting")
         (eps, radius), = smoothing
-        proj, layout = self._project_rows(rows_by_sample, masks_by_sample, rng, training)
-        seq, real = self._assemble_sequence(proj, layout)
-        z = self.sequence_forward(seq, real, rng, training, with_cls=False)
-        zflat = reshape(z, (b * t, self.config.m))
-        zrows = embedding_gather(zflat, layout.row_flat)
+        z, layout = self._encode(rows_by_sample, [s.mask for s in batch], rng, training,
+                                 with_cls=False)
+        zrows = embedding_gather(reshape(z, (-1, self.config.m)), layout.row_flat)
         pieces = []
         off = 0
         for h in layout.type_order:
@@ -424,7 +420,7 @@ class Model:
         if any(s.source is not None for s in batch):
             values = layout.stack([s.rows if s.source is None else s.source for s in batch])
         cat_ids, num_vals, slot_attr = layout.flatten(values, self.schema)
-        sample_of = np.repeat(np.arange(b), [len(s.targets) for s in batch])
+        sample_of = np.repeat(np.arange(len(batch)), [len(s.targets) for s in batch])
         pos = np.concatenate([s.targets for s in batch])
         slot = layout.slot_base[sample_of, pos[:, 0]] + pos[:, 1]
         slot = slot[np.argsort(slot_attr[slot], kind="stable")]
@@ -433,7 +429,7 @@ class Model:
         for a, lo, hi in zip(attr_ids.tolist(), bounds, bounds[1:]):
             attr = self.schema.slots.names[a]
             idx = slot[lo:hi]
-            pred = self._head(attr, embedding_gather(slices, idx))
+            pred = self._head(f"heads.{attr}", embedding_gather(slices, idx))
             spec = self.schema.attributes[attr]
             if spec.kind == CATEGORICAL:
                 dists = smoothed_class_targets(cat_ids[idx], len(spec.vocab), eps)
@@ -451,24 +447,11 @@ class Model:
         """[CLS]-pooled task output: (B,) for regression, (B, 2) for binary."""
         if self.config.task_head is None:
             raise ModelError("model has no task head; call ensure_task_head first")
-        rows_by_sample = [s.rows for s in batch]
-        b = len(batch)
-        t = max(len(r) for r in rows_by_sample)
-        if t > self.config.t_max:
-            raise LengthError(f"sequence length {t} exceeds t_max={self.config.t_max}")
-        proj, layout = self._project_rows(rows_by_sample, None, rng, training)
-        seq, real = self._assemble_sequence(proj, layout)
-        cls = reshape(embedding_gather(self.params["embed.cls"], np.zeros(b, dtype=np.int64)),
-                      (b, 1, self.config.m))
-        seq = concat([cls, seq], axis=1)
-        real = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
-        z = self.sequence_forward(seq, real, rng, training, with_cls=True)
-        pooled = slice_(z, (slice(None), 0))
-        h = gelu(matmul(pooled, self.params["finetune.w1"]) + self.params["finetune.b1"])
-        outp = matmul(h, self.params["finetune.w2"]) + self.params["finetune.b2"]
+        z, _ = self._encode([s.rows for s in batch], None, rng, training, with_cls=True)
+        out = self._head("finetune", slice_(z, (slice(None), 0)))
         if self.config.task_head == "regression":
-            return reshape(outp, (b,))
-        return outp
+            return reshape(out, (len(batch),))
+        return out
 
 
 # ---------------------------------------------------------------------------

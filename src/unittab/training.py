@@ -16,14 +16,15 @@ array of (row, field) indices in row-major order; missing values are never
 targets. `Model.pretrain_forward` groups the targets of a batch by
 attribute and builds the smoothed distributions over the attribute's
 vocabulary or quantization bins once per attribute (quantized values are
-targets only, never inputs); `smooth_categorical` and `smooth_neighborhood`
-below are the one-target reference those batch builders match bit for bit.
+targets only, never inputs), with `model.smoothed_class_targets` and
+`model.smoothed_bin_targets`.
 Optimization is AdamW with decoupled weight decay; the loss averages cross
 entropy over masked positions so the learning rate is batch-size stable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -79,6 +80,12 @@ class TrainConfig:
             raise ConfigError("neighborhood radius must be >= 0")
         if self.mask_variant not in ("pure", "bert_80_10_10"):
             raise ConfigError(f"unknown mask_variant {self.mask_variant!r}")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigError("max_steps must be >= 0 or None")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be >= 1 or None")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -90,41 +97,6 @@ class TrainConfig:
         d = dict(d)
         d["betas"] = tuple(d.get("betas", (0.9, 0.999)))
         return cls(**d)
-
-
-# ---------------------------------------------------------------------------
-# target smoothing
-
-
-def smooth_categorical(v: int, q_j: int, eps: float) -> np.ndarray:
-    """1 - eps at the true class, eps spread evenly over the others."""
-    if not 0 <= v < q_j:
-        raise ValueError(f"class {v} out of range for vocabulary size {q_j}")
-    if q_j == 1:
-        return np.ones(1)
-    p = np.full(q_j, eps / (q_j - 1))
-    p[v] = 1.0 - eps
-    return p
-
-
-def smooth_neighborhood(b: int, q: int, eps: float, radius: int) -> np.ndarray:
-    """1 - eps at bin b, eps shared by the in-range bins within `radius`
-    of b, zero elsewhere. Boundary bins renormalize eps over the surviving
-    neighbors so the target stays a distribution; with no neighbors
-    (radius 0 or q == 1) all mass goes to b."""
-    if not 0 <= b < q:
-        raise ValueError(f"bin {b} out of range for {q} bins")
-    if q == 1:
-        return np.ones(1)
-    lo, hi = max(0, b - radius), min(q - 1, b + radius)
-    neighbors = [l for l in range(lo, hi + 1) if l != b]
-    p = np.zeros(q)
-    if not neighbors:
-        p[b] = 1.0
-        return p
-    p[b] = 1.0 - eps
-    p[neighbors] = eps / len(neighbors)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +306,32 @@ def _train_loop(step, n_items: int, model: Model, opt: AdamW, cfg: TrainConfig,
     of indices at a time; `step` returns the loss Tensor, or None when the
     batch has nothing to learn from (logged as 0.0, no optimizer step).
     Stops after cfg.max_steps steps; with a checkpoint path, saves every
-    cfg.checkpoint_every steps. Returns the loss of every step."""
+    cfg.checkpoint_every steps and the last step, each step once."""
+    chunks = (chunk for _ in range(cfg.epochs)
+              for chunk in _batched(rng.permutation(n_items), cfg.batch_size))
     losses: list[float] = []
+    saved = False
     log = MetricsLog(metrics_path)
     try:
-        for _ in range(cfg.epochs):
-            for chunk in _batched(rng.permutation(n_items), cfg.batch_size):
-                loss = step(chunk)
-                value = 0.0
-                if loss is not None:
-                    model.zero_grad()
-                    loss.backward()
-                    opt.step()
-                    value = loss.item()
-                    loss = None  # this step's graph dies before the next batch is built
-                log.write(len(losses), split, "loss", value)
-                losses.append(value)
-                steps = len(losses)
-                if checkpoint_path and cfg.checkpoint_every and steps % cfg.checkpoint_every == 0:
-                    save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
-                if cfg.max_steps is not None and steps >= cfg.max_steps:
-                    return losses
+        for chunk in itertools.islice(chunks, cfg.max_steps):
+            loss = step(chunk)
+            value = 0.0
+            if loss is not None:
+                model.zero_grad()
+                loss.backward()
+                opt.step()
+                value = loss.item()
+                loss = None  # this step's graph dies before the next batch is built
+            log.write(len(losses), split, "loss", value)
+            losses.append(value)
+            saved = bool(checkpoint_path and cfg.checkpoint_every
+                         and len(losses) % cfg.checkpoint_every == 0)
+            if saved:
+                save_checkpoint(checkpoint_path, model, opt, cfg, rng, len(losses))
     finally:
         log.close()
+    if checkpoint_path and not saved:
+        save_checkpoint(checkpoint_path, model, opt, cfg, rng, len(losses))
     return losses
 
 
@@ -390,11 +365,7 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
 
     losses = _train_loop(step, len(data), model, opt, cfg, rng, "pretrain",
                          metrics_path, checkpoint_path)
-    steps = len(losses)
-    saved_last = steps > 0 and cfg.checkpoint_every and steps % cfg.checkpoint_every == 0
-    if checkpoint_path and not saved_last:
-        save_checkpoint(checkpoint_path, model, opt, cfg, rng, steps)
-    return PretrainResult(losses, steps, opt)
+    return PretrainResult(losses, len(losses), opt)
 
 
 # predict's second lane: one worker thread, started by the first submit
@@ -449,9 +420,21 @@ def _check_binary_labels(samples, split: str) -> None:
                          f"{len(bad)} other label(s), first {bad[0]!r}")
 
 
-def evaluate(model: Model, samples, task: str, batch_size: int = 64) -> EvalReport:
+def _check_test_split(samples, task: str) -> None:
+    """Raise unless `task`'s metrics are defined on the test `samples`."""
     if task == "binary":
         _check_binary_labels(samples, "test")
+        n_pos = sum(1 for s in samples if s.label == 1)
+        if n_pos in (0, len(samples)):
+            raise UndefinedMetricError(
+                f"binary evaluation needs both classes in the test split; it has "
+                f"{n_pos} positive and {len(samples) - n_pos} negative samples")
+    elif not samples:
+        raise UndefinedMetricError("regression evaluation needs a nonempty test split")
+
+
+def evaluate(model: Model, samples, task: str, batch_size: int = 64) -> EvalReport:
+    _check_test_split(samples, task)
     labels = np.asarray([s.label for s in samples], dtype=np.float64)
     scores = predict(model, samples, task, batch_size)
     if task == "regression":
@@ -495,14 +478,7 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
         raise LabelError(f"{task} fine-tuning needs a nonempty training split")
     if task == "binary":
         _check_binary_labels(train_samples, "training")
-        _check_binary_labels(test_samples, "test")
-        n_pos = sum(1 for s in test_samples if s.label == 1)
-        if n_pos in (0, len(test_samples)):
-            raise UndefinedMetricError(
-                f"binary evaluation needs both classes in the test split; it has "
-                f"{n_pos} positive and {len(test_samples) - n_pos} negative samples")
-    elif not test_samples:
-        raise UndefinedMetricError("regression evaluation needs a nonempty test split")
+    _check_test_split(test_samples, task)
     t_max = model.config.t_max
     for split, samples in (("training", train_samples), ("test", test_samples)):
         i = max(range(len(samples)), key=lambda j: len(samples[j].rows))

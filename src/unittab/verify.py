@@ -260,22 +260,16 @@ def toy_setup(seed: int = 0):
     return model, batch, cfg
 
 
-def model_grad_check(model: Model, batch, cfg: TrainConfig, h: float = 1e-4) -> float:
+def check_model(seed: int = 0) -> CheckResult:
     """Max relative error over every parameter coordinate of the full
-    pretraining loss (dropout off), one `grad_check` per parameter."""
+    pretraining loss on the toy batch (dropout off), one grad_check each."""
+    model, batch, cfg = toy_setup(seed)
 
-    def loss() -> Tensor:
+    def loss(_) -> Tensor:
         return pretrain_loss(model.pretrain_forward(batch, rng=None, training=False), cfg)
 
-    worst = max(grad_check(lambda _: loss(), model.params[name], h=h)
-                for name in sorted(model.params))
-    model.zero_grad()
-    return worst
-
-
-def check_model(seed: int = 0) -> CheckResult:
-    model, batch, cfg = toy_setup(seed)
-    return CheckResult("full_model_loss", model_grad_check(model, batch, cfg), MODEL_TOL)
+    worst = max(grad_check(loss, model.params[name], h=1e-4) for name in sorted(model.params))
+    return CheckResult("full_model_loss", worst, MODEL_TOL)
 
 
 def run_suite(ops=None, inject_bug: bool = False, seed: int = 0,

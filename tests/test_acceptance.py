@@ -17,12 +17,9 @@ from unittab.data import (
 )
 from unittab.embedding import prepare_series
 from unittab.metrics import accuracy, average_precision, f1, roc_auc
-from unittab.model import Model, ModelConfig
+from unittab.model import Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets
 from unittab.tensor import Tensor
-from unittab.training import (
-    TrainConfig, apply_masking, finetune, pretrain,
-    smooth_categorical, smooth_neighborhood,
-)
+from unittab.training import TrainConfig, apply_masking, finetune, pretrain
 from unittab.verify import check_model, check_primitives
 
 from test_metrics import ap_oracle, auc_oracle, f1_oracle
@@ -46,6 +43,7 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_distribution_correctness():
+    # one target per call to the batch builders training runs
     t0 = time.time()
     rng = np.random.default_rng(20)
     interior_checked = 0
@@ -54,8 +52,8 @@ def test_criterion_02_distribution_correctness():
         b = int(rng.integers(0, q))
         eps = float(rng.uniform(0.0, 0.5))
         radius = int(rng.integers(0, 12))
-        p_cat = smooth_categorical(b, q, eps)
-        p_nbr = smooth_neighborhood(b, q, eps, radius)
+        p_cat = smoothed_class_targets(np.array([b]), q, eps)[0]
+        p_nbr = smoothed_bin_targets(np.array([b]), q, eps, radius)[0]
         assert abs(p_cat.sum() - 1.0) <= 1e-9
         assert abs(p_nbr.sum() - 1.0) <= 1e-9
         if radius == 5 and 5 <= b < q - 5:
@@ -64,7 +62,7 @@ def test_criterion_02_distribution_correctness():
             interior_checked += 1
     # make sure the interior case really occurred, then add a directed sweep
     for q, b, eps in ((100, 50, 0.1), (11, 5, 0.3), (200, 194, 0.05)):
-        p = smooth_neighborhood(b, q, eps, 5)
+        p = smoothed_bin_targets(np.array([b]), q, eps, 5)[0]
         assert all(p[l] == eps / 10 for l in range(b - 5, b + 6) if l != b)
     elapsed = time.time() - t0
     report(2, "distribution correctness", elapsed < 60,

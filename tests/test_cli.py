@@ -57,6 +57,18 @@ def test_unittab_seed_env_overrides_config(tmp_path, monkeypatch):
     assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "pretrain"])
+def test_non_integer_unittab_seed_exits_2(command, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    args = {"gen-data": ["--kind", "pollution_like", "--seed", "1", "--out", str(tmp_path / "ds")],
+            "pretrain": ["--config", str(cfg_path), "--out", str(tmp_path / "run")]}[command]
+    monkeypatch.setenv("UNITTAB_SEED", "abc")
+    assert run_cli(command, *args) == 2
+    _one_line_error(capsys, "UNITTAB_SEED", "'abc'")
+    assert not (tmp_path / "ds").exists() and not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-data -> pretrain -> finetune once, shared by the CLI tests."""
@@ -187,6 +199,21 @@ def test_eval_label_outside_0_1_exits_2(multitype_pretrained, tmp_path, capsys):
     assert run_cli("eval", "--config", str(cfg_path), "--data", str(data),
                    "--checkpoint", str(root / "pre" / "model.ckpt")) == 2
     _one_line_error(capsys, "labels 0 or 1", "first 2")
+
+
+@pytest.mark.parametrize("fixture, checkpoint, message", [
+    ("pipeline", "ft/finetuned.ckpt", "regression evaluation needs a nonempty test split"),
+    ("multitype_pretrained", "pre/model.ckpt", "binary evaluation needs both classes"),
+])
+def test_eval_empty_test_split_exits_2(fixture, checkpoint, message, request, tmp_path, capsys):
+    root, cfg_path = request.getfixturevalue(fixture)[:2]
+    cfg = json.loads(cfg_path.read_text())
+    cfg["data"]["test_fraction"] = 0
+    empty = tmp_path / "cfg.json"
+    empty.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", str(empty), "--checkpoint", str(root / checkpoint)) == 2
+    _one_line_error(capsys, message)
 
 
 def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained, capsys):

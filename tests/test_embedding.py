@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from unittab.embedding import (
-    EncodedRow, build_bank, clamp_count, embed_slot_batch, expand_schema, expand_series,
-    freq_encode, prepare_series, reset_clamp_count, split_timestamp,
+    EncodedRow, build_bank, clamp_count, embed_slot_batch, expand_schema, freq_encode,
+    prepare_series, reset_clamp_count, split_timestamp,
 )
 from unittab.schema import Cat, Missing, Num, Time
 from unittab.tensor import Tensor, matmul
 from conftest import make_tiny_schema, make_tiny_series
+from test_ingest_golden import _ref_expand_series
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -133,15 +134,6 @@ def test_expand_schema_raises_arity():
     assert len(expanded.attributes["timestamp.day"].vocab) == 31
 
 
-def test_expand_series_matches_expanded_schema():
-    schema = make_tiny_schema()
-    series = make_tiny_series()
-    expanded = expand_schema(schema)
-    out = expand_series(series, schema)
-    assert all(len(r.values) == expanded.row_types[0].arity for r in out.rows)
-    assert out.rows[0].values[0] == Cat(0)  # year 2021 at index 0
-
-
 def test_embed_field_cat_is_exact_table_row():
     schema = make_tiny_schema()
     expanded, params = make_bank(schema)
@@ -189,7 +181,7 @@ def test_embed_field_masked_overrides_value():
 
 def test_embed_row_composition():
     schema = make_tiny_schema()
-    series = expand_series(make_tiny_series(), schema)
+    series = _ref_expand_series(make_tiny_series(), schema)
     expanded, params = make_bank(schema)
     rt = expanded.row_types[0]
     for s, name in enumerate(rt.attributes):
@@ -202,7 +194,7 @@ def test_embed_row_composition():
 
 def test_embed_row_all_masked():
     schema = make_tiny_schema()
-    series = expand_series(make_tiny_series(), schema)
+    series = _ref_expand_series(make_tiny_series(), schema)
     expanded, params = make_bank(schema)
     for s, name in enumerate(expanded.row_types[0].attributes):
         column = [row.values[s] for row in series.rows]
@@ -235,5 +227,7 @@ def test_prepare_series_round_trip_shapes():
     schema = make_tiny_schema()
     series = [make_tiny_series("a"), make_tiny_series("b", n_rows=2)]
     expanded, encoded = prepare_series(series, schema)
+    assert expanded == expand_schema(schema)
     assert len(encoded) == 2
     assert all(len(r.cat_ids) == expanded.row_types[0].arity for r in encoded[0].rows)
+    assert encoded[0].rows[0].cat_ids[0] == 0  # year 2021 at index 0

@@ -1,8 +1,8 @@
 """Column-planned CSV ingest against the original per-row reader and encoder.
 
 `_ref_read_csv`, `_ref_expand_series` and `_ref_encode_row` below are the
-original per-row implementations of `read_csv`, `expand_series` and the row
-encoder behind `prepare_series`: a `DictReader` walk, a `list.index`
+original per-row implementations of `read_csv`, the timestamp expansion and
+the row encoder behind `prepare_series`: a `DictReader` walk, a `list.index`
 vocabulary scan and one expanded `Row` per input row. The planned reader and
 the per-row-type encoder must give the same values, report counters, errors
 and array bytes. Inputs here carry no non-finite numeric cells; the original

@@ -21,9 +21,8 @@ from unittab import training
 from unittab.schema import Cat, Num, Row, Time, TimeSeries
 from unittab.tensor import NumericError, Tensor, softmax
 from unittab.training import (
-    AdamW, LabelError, TrainConfig, _train_loop, apply_masking, evaluate, finetune,
-    masked_token_loss, predict, pretrain, pretrain_loss, regression_loss,
-    smooth_categorical, smooth_neighborhood,
+    AdamW, ConfigError, LabelError, TrainConfig, _train_loop, apply_masking, evaluate,
+    finetune, masked_token_loss, predict, pretrain, pretrain_loss, regression_loss,
 )
 from conftest import make_tiny_schema, make_tiny_series
 
@@ -37,25 +36,66 @@ def entropy(p):
 # -- smoothing
 
 
+def smooth_categorical(v: int, q_j: int, eps: float) -> np.ndarray:
+    """One-target reference for `smoothed_class_targets`: 1 - eps at the
+    true class, eps spread evenly over the others."""
+    if not 0 <= v < q_j:
+        raise ValueError(f"class {v} out of range for vocabulary size {q_j}")
+    if q_j == 1:
+        return np.ones(1)
+    p = np.full(q_j, eps / (q_j - 1))
+    p[v] = 1.0 - eps
+    return p
+
+
+def smooth_neighborhood(b: int, q: int, eps: float, radius: int) -> np.ndarray:
+    """One-target reference for `smoothed_bin_targets`: 1 - eps at bin b,
+    eps shared by the in-range bins within `radius` of b, zero elsewhere.
+    Boundary bins renormalize eps over the surviving neighbors so the
+    target stays a distribution; with no neighbors (radius 0 or q == 1)
+    all mass goes to b."""
+    if not 0 <= b < q:
+        raise ValueError(f"bin {b} out of range for {q} bins")
+    if q == 1:
+        return np.ones(1)
+    lo, hi = max(0, b - radius), min(q - 1, b + radius)
+    neighbors = [l for l in range(lo, hi + 1) if l != b]
+    p = np.zeros(q)
+    if not neighbors:
+        p[b] = 1.0
+        return p
+    p[b] = 1.0 - eps
+    p[neighbors] = eps / len(neighbors)
+    return p
+
+
+def class_row(v, q, eps):
+    return smoothed_class_targets(np.array([v]), q, eps)[0]
+
+
+def bin_row(b, q, eps, radius):
+    return smoothed_bin_targets(np.array([b]), q, eps, radius)[0]
+
+
 def test_smooth_categorical_example():
-    assert np.allclose(smooth_categorical(2, 5, 0.1), [0.025, 0.025, 0.9, 0.025, 0.025])
+    assert np.allclose(class_row(2, 5, 0.1), [0.025, 0.025, 0.9, 0.025, 0.025])
 
 
 def test_smooth_categorical_eps0_one_hot():
-    assert smooth_categorical(1, 4, 0.0).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert class_row(1, 4, 0.0).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_smooth_categorical_degenerate_vocab():
-    assert smooth_categorical(0, 1, 0.1).tolist() == [1.0]
+    assert class_row(0, 1, 0.1).tolist() == [1.0]
 
 
 def test_smooth_categorical_out_of_range():
     with pytest.raises(ValueError):
-        smooth_categorical(5, 5, 0.1)
+        class_row(5, 5, 0.1)
 
 
 def test_smooth_neighborhood_interior():
-    p = smooth_neighborhood(50, 100, 0.1, 5)
+    p = bin_row(50, 100, 0.1, 5)
     assert p[50] == 0.9
     for l in range(45, 56):
         if l != 50:
@@ -65,7 +105,7 @@ def test_smooth_neighborhood_interior():
 
 
 def test_smooth_neighborhood_boundary_renormalizes():
-    p = smooth_neighborhood(2, 100, 0.1, 5)
+    p = bin_row(2, 100, 0.1, 5)
     neighbors = [0, 1, 3, 4, 5, 6, 7]
     for l in neighbors:
         assert abs(p[l] - 0.1 / 7) < 1e-15
@@ -74,12 +114,12 @@ def test_smooth_neighborhood_boundary_renormalizes():
 
 
 def test_smooth_neighborhood_eps0():
-    p = smooth_neighborhood(3, 10, 0.0, 5)
+    p = bin_row(3, 10, 0.0, 5)
     assert p[3] == 1.0 and p.sum() == 1.0
 
 
 def test_smooth_neighborhood_radius0_all_mass_at_bin():
-    p = smooth_neighborhood(3, 10, 0.1, 0)
+    p = bin_row(3, 10, 0.1, 0)
     assert p[3] == 1.0 and p.sum() == 1.0
 
 
@@ -422,6 +462,34 @@ def test_pretrain_metrics_file_holds_only_the_last_run(tmp_path):
     assert [r["value"] for r in records] == second.losses
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"max_steps": -1}, "max_steps must be >= 0"),
+    ({"checkpoint_every": 0}, "checkpoint_every must be >= 1"),
+])
+def test_bad_loop_setting_fails_before_any_work(setting, message, tmp_path):
+    cfg = TrainConfig(**{"p_f": 0.3, "epochs": 1, "batch_size": 2, **setting})
+    log, ckpt = tmp_path / "metrics.ndjson", tmp_path / "m.ckpt"
+    model, encoded = small_pretrain_setup()
+    with pytest.raises(ConfigError, match=message):
+        pretrain(encoded, model, cfg, metrics_path=log, checkpoint_path=ckpt)
+    assert not log.exists() and not ckpt.exists()
+    expanded, labeled = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    names = set(model.params)
+    with pytest.raises(ConfigError, match=message):
+        finetune(labeled[:6], labeled[6:], model, "binary", cfg, metrics_path=log)
+    assert not log.exists() and set(model.params) == names  # no task head was added
+
+
+def test_pretrain_max_steps_zero_takes_no_step():
+    model, encoded = small_pretrain_setup()
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    result = pretrain(encoded, model, TrainConfig(p_f=0.3, lr=1e-3, batch_size=2, max_steps=0))
+    assert result.losses == [] and result.steps == 0 and result.optimizer.t == 0
+    assert all(np.array_equal(model.params[k].data, v) for k, v in before.items())
+
+
 def test_train_loop_frees_each_step_graph_before_the_next():
     model, encoded = small_pretrain_setup()
     cfg = TrainConfig(p_f=0.5, lr=1e-3, epochs=2, batch_size=2, seed=0)
@@ -533,6 +601,19 @@ def test_evaluate_binary_label_outside_0_1_fails_before_predicting():
     with pytest.raises(LabelError, match="labels 0 or 1; the test split has 1 other"):
         evaluate(model, samples, "binary")
     assert calls == []  # rejected before any forward pass
+
+
+@pytest.mark.parametrize("task, message", [("binary", "both classes"),
+                                           ("regression", "nonempty test split")])
+def test_evaluate_empty_split_fails_before_predicting(task, message):
+    expanded, _ = labeled_encoded()
+    model = tiny_finetune_model(expanded)
+    model.ensure_task_head(task)
+    calls = []
+    model.finetune_forward = lambda *args, **kwargs: calls.append(args)
+    with pytest.raises(UndefinedMetricError, match=message):
+        evaluate(model, [], task)
+    assert calls == []
 
 
 @pytest.mark.parametrize("split", ["training", "test"])
@@ -829,7 +910,9 @@ PRETRAIN_CHECKPOINT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("max_steps, saved_steps", [(4, [2, 4]), (5, [2, 4, 5])])
+@pytest.mark.parametrize("max_steps, saved_steps", [
+    (4, [2, 4]), (5, [2, 4, 5]), (None, list(range(2, 101, 2))), (0, [0]),
+])
 def test_pretrain_writes_each_checkpoint_step_once(max_steps, saved_steps, tmp_path,
                                                    monkeypatch):
     model, encoded = small_pretrain_setup()
@@ -845,7 +928,10 @@ def test_pretrain_writes_each_checkpoint_step_once(max_steps, saved_steps, tmp_p
     path = tmp_path / "m.ckpt"
     pretrain(encoded, model, cfg, checkpoint_path=path)
     assert steps == saved_steps
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRETRAIN_CHECKPOINT_SHA256[max_steps]
+    assert load_checkpoint(path, model.schema).step == saved_steps[-1]
+    if max_steps in PRETRAIN_CHECKPOINT_SHA256:
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == PRETRAIN_CHECKPOINT_SHA256[max_steps])
 
 
 @pytest.mark.parametrize("which, key, value", [
