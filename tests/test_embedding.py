@@ -134,6 +134,14 @@ def test_expand_schema_raises_arity():
     assert len(expanded.attributes["timestamp.day"].vocab) == 31
 
 
+def test_expand_series_matches_expanded_schema():
+    schema = make_tiny_schema()
+    expanded, (out,) = prepare_series([make_tiny_series()], schema)
+    assert expanded == expand_schema(schema)
+    assert all(len(r.cat_ids) == expanded.row_types[0].arity for r in out.rows)
+    assert out.rows[0].cat_ids[0] == 0  # year 2021 at index 0
+
+
 def test_embed_field_cat_is_exact_table_row():
     schema = make_tiny_schema()
     expanded, params = make_bank(schema)
@@ -227,7 +235,5 @@ def test_prepare_series_round_trip_shapes():
     schema = make_tiny_schema()
     series = [make_tiny_series("a"), make_tiny_series("b", n_rows=2)]
     expanded, encoded = prepare_series(series, schema)
-    assert expanded == expand_schema(schema)
     assert len(encoded) == 2
     assert all(len(r.cat_ids) == expanded.row_types[0].arity for r in encoded[0].rows)
-    assert encoded[0].rows[0].cat_ids[0] == 0  # year 2021 at index 0
