@@ -2,9 +2,12 @@
 
 Runs are pure functions of (config file, flags, referenced input files);
 flag overrides beat the UNITTAB_SEED environment variable, which beats the
-config file. Unknown config keys are errors. Exit codes: 0 success,
-1 verification failure, 2 usage, config or input error (a bad dataset,
-labels file or checkpoint), reported as one line on stderr.
+config file. The one exception is gen-data, which has no config file:
+UNITTAB_SEED overrides its required --seed flag. Unknown config keys and
+invalid train settings are errors, found before anything is written or
+read. Exit codes: 0 success, 1 verification failure, 2 usage, config or
+input error (a bad dataset, labels file or checkpoint), reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -92,6 +95,14 @@ def load_run_config(path, overrides: dict) -> dict:
 def _write_resolved(cfg: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved.json").write_text(json.dumps(cfg, sort_keys=True, indent=2))
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    """The run's validated TrainConfig: defaults, then the config file's
+    `train` block with its overrides."""
+    train_cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), **cfg["train"]})
+    train_cfg.validate()
+    return train_cfg
 
 
 def _load_dataset(data_dir):
@@ -182,13 +193,13 @@ def cmd_pretrain(args) -> int:
                                         "lr": args.lr, "batch_size": args.batch_size,
                                         "max_steps": args.max_steps, "out_dir": args.out,
                                         "dir": args.data})
+    train_cfg = _train_config(cfg)
     out = Path(cfg["out_dir"])
     _write_resolved(cfg, out)
     schema, series, *_ = _load_dataset(cfg["data"].get("dir"))
     expanded, encoded = prepare_series(series, schema)
     model_cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **cfg["model"],
                                        "n_row_types": expanded.n_row_types})
-    train_cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), **cfg["train"]})
     model = Model(model_cfg, expanded, seed=train_cfg.seed)
     result = pretrain(encoded, model, train_cfg,
                       metrics_path=out / "metrics.ndjson",
@@ -205,10 +216,10 @@ def cmd_finetune(args) -> int:
                                         "lr": args.lr, "batch_size": args.batch_size,
                                         "max_steps": args.max_steps, "out_dir": args.out,
                                         "dir": args.data, "checkpoint": args.checkpoint})
+    train_cfg = _train_config(cfg)
     out = Path(cfg["out_dir"])
     _write_resolved(cfg, out)
     model, train, test, task = _load_task(cfg)
-    train_cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), **cfg["train"]})
     result = finetune(train, test, model, task, train_cfg,
                       metrics_path=out / "finetune_metrics.ndjson")
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))

@@ -25,14 +25,53 @@ forward therefore peaks lower than a training one.
 
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
-state. A gradient graph is single-threaded; tensors that do not require
-gradients are immutable after creation and safe to share across threads,
-and concurrent evaluation is fine as long as the graphs stay disjoint.
+state. Tensors that do not require gradients are immutable after creation
+and safe to share across threads, and concurrent evaluation is fine as long
+as the graphs stay disjoint.
+
+Two lanes. The library owns one worker thread, `_LANE`, started by the
+first submit (importing starts none). A caller takes its lock without
+waiting (`lane`) and, while it holds it, runs one piece of work on the lane
+and another on its own thread (`pair`); a caller that finds the lock taken,
+or a process allowed only one CPU, runs everything on its own thread and
+submits nothing. Each fused op takes the lane for an input of SPLIT_MIN
+elements or more with two or more rows on the leading (batch) axis of a
+>= 3-d array, and then:
+
+- its forward runs the lower half of the rows on the calling thread and the
+  upper half on the lane;
+- its backward runs the per-row part the same way: the attention
+  probabilities' backward, and the GELU derivative in `feed_forward`;
+- the whole-batch reductions run unsplit on one thread: the weight-grad
+  products of `_matmul_rhs_grad`, whose inner dimension is B*T, and the
+  bias, gamma and beta sums. The input grads `g @ w.T`, or the layer
+  norm's per-row backward, run on the other.
+
+Dropout masks are drawn on the calling thread for the full shape, at the
+same point in the PRNG stream as on one lane. Every grad is accumulated on
+the calling thread in the one-lane order. An error from either half is
+raised after both halves have finished, the lower half's first.
+
+Why the bits hold: numpy evaluates a product of >= 3-d operands as one BLAS
+call per matrix of the leading axes, ufuncs act element by element, and the
+reductions here run along the last axis, so a row of output depends only on
+the same row of input, computed by the same calls on the same operands
+whichever half it falls in. A 2-d product is never split by rows and no
+product is flattened, since either would change the BLAS calls; the
+weight-grad products and the parameter sums, which mix all rows, always
+run whole. Every operand also keeps its one-lane layout: a strided operand
+can take another BLAS routine than a contiguous one with the same values,
+so halves write into full arrays shaped as the one-lane products, and
+attention merges its heads from those full arrays (`_merge_heads`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.special import erf
@@ -262,15 +301,27 @@ def _matmul_rhs_grad(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> np.ndarra
     return np.swapaxes(ad, -1, -2) @ g
 
 
-def _linear_grads(xd, w: Tensor, b: Tensor | None, g: np.ndarray, need_x: bool):
-    """Backward of the composed `matmul(x, w) + b` for upstream g: accumulates
-    the grads of w and b (when they require one) and returns dx when
-    `need_x`, else None. `xd` (x's data) is read only for w's grad."""
+def _reductions(xd, w: Tensor, b: Tensor | None, g: np.ndarray) -> list:
+    """The whole-batch part of the backward of the composed `matmul(x, w) + b`
+    (b may be None) for upstream g: [(tensor, grad)] for b, then w, where
+    each requires a grad. w's grad is one product with inner dimension B*T;
+    `xd` (x's data) is read only for it."""
+    grads = []
     if b is not None and b.requires_grad:
-        _accum(b, _unbroadcast(g, b.shape))
+        grads.append((b, _unbroadcast(g, b.shape)))
     if w.requires_grad:
-        _accum(w, _matmul_rhs_grad(xd, w.data, g))
-    return g @ np.swapaxes(w.data, -1, -2) if need_x else None
+        grads.append((w, _matmul_rhs_grad(xd, w.data, g)))
+    return grads
+
+
+def _input_grad(w: Tensor, g: np.ndarray) -> np.ndarray:
+    """x's grad of the composed `matmul(x, w) + b` for upstream g."""
+    return g @ np.swapaxes(w.data, -1, -2)
+
+
+def _accum_all(grads) -> None:
+    for t, g in grads:
+        _accum(t, g)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -383,6 +434,79 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(s, (a,), bw)
 
 
+# ---------------------------------------------------------------------------
+# the worker lane
+
+# One worker thread for the whole library, started by the first submit.
+# Only the holder of _LANE_LOCK submits to it, and the holder waits for its
+# work before it lets the lock go, so the lane never queues two callers.
+_LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="unittab-lane")
+_LANE_LOCK = threading.Lock()
+
+# Ops over fewer elements than this run whole. On a 2-vCPU Xeon VM (one
+# BLAS thread), an encoder layer of width 16 or 64 ran slower split below
+# about 13k input elements and faster from 16k up; a layer's hand-offs to
+# the lane cost about 0.1 ms each.
+SPLIT_MIN = 16_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def lane(parts: int, size: int | None = None):
+    """Hold the worker lane for the body: yields True when the work has two
+    or more independent `parts`, its `size` in elements is None or at least
+    SPLIT_MIN, the process may use two or more CPUs and no other caller
+    holds the lane; the body may then hand work to it through `pair`.
+    Yields False otherwise. Never waits for the lock."""
+    held = (parts > 1 and (size is None or size >= SPLIT_MIN) and _usable_cpus() > 1
+            and _LANE_LOCK.acquire(blocking=False))
+    try:
+        yield held
+    finally:
+        if held:
+            _LANE_LOCK.release()
+
+
+def pair(here, there, held: bool):
+    """(here(), there()). With the lane `held`, `there()` runs on the lane
+    while this thread runs `here()`; an error is raised only after both have
+    finished, `here`'s before `there`'s. Otherwise both run on this thread,
+    `here` first."""
+    if not held:
+        return here(), there()
+    ahead = _LANE.submit(there)
+    try:
+        first = here()
+    except BaseException:
+        wait([ahead])
+        raise
+    return first, ahead.result()
+
+
+def _rows(a: np.ndarray) -> int:
+    """The rows an op over `a` may split: those of the leading (batch) axis
+    of a >= 3-d array; a smaller array is one piece."""
+    return a.shape[0] if a.ndim >= 3 else 1
+
+
+def _halves(n: int, held: bool) -> list[tuple[int, int]]:
+    """The row ranges of an op over n leading rows: two halves when the lane
+    is held, else all n rows."""
+    return [(0, n // 2), (n // 2, n)] if held else [(0, n)]
+
+
+def _each(fn, spans, held: bool) -> list:
+    """[fn(i) for each row range i of `spans`], the second on the lane when
+    it is held."""
+    if len(spans) == 1:
+        return [fn(0)]
+    return list(pair(lambda: fn(0), lambda: fn(1), held))
+
+
 def _dropout_keep(shape, p: float, rng: np.random.Generator, training: bool):
     """The kept units of inverted dropout at rate p as a bool array (one
     `rng.random(shape)` draw), or None when nothing is dropped: not training,
@@ -416,73 +540,125 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
                          f"heads, got shape {x.shape}")
     b, t, w = x.shape
     hd = w // heads
-    split = (b, t, heads, hd)
-    xd = x.data
-    q = xd @ wq.data
-    q += bq.data
-    k = xd @ wk.data
-    v = xd @ wv.data
-    v += bv.data
-    qh = np.transpose(q.reshape(split), (0, 2, 1, 3))
-    kt = np.transpose(np.transpose(k.reshape(split), (0, 2, 1, 3)), (0, 1, 3, 2))
-    vh = np.transpose(v.reshape(split), (0, 2, 1, 3))
     scale = 1.0 / np.sqrt(hd)
-    probs = qh @ kt
-    probs *= scale
-    if add_mask is not None:
-        probs += add_mask
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("non-finite input to softmax")
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _dropout_keep(probs.shape, p, rng, training)
-    dropped = probs if keep is None else probs * (keep / (1.0 - p))
-    ctx = np.transpose(dropped @ vh, (0, 2, 1, 3)).reshape((b, t, w))
-    del dropped
+    xd = x.data
+    per_row_mask = add_mask is not None and np.ndim(add_mask) == 4 and len(add_mask) == b
     # which paths the composed ops would have recorded in this forward
     need_q = x.requires_grad or wq.requires_grad or bq.requires_grad
     need_k = x.requires_grad or wk.requires_grad
     need_v = x.requires_grad or wv.requires_grad or bv.requires_grad
-    if not (need_q or need_k or need_v or wo.requires_grad or bo.requires_grad):
-        del q, k, v, qh, kt, vh, probs, keep  # no backward will read them
-    out = ctx @ wo.data
-    out += bo.data
+    record = need_q or need_k or need_v or wo.requires_grad or bo.requires_grad
 
-    def merge(gh):  # (B, heads, T, hd) grads back to (B, T, W)
-        return np.transpose(gh, (0, 2, 1, 3)).reshape((b, t, w))
+    def probabilities(i):
+        lo, hi = spans[i]
+        xh = xd[lo:hi]
+        split = (hi - lo, t, heads, hd)
+        q = xh @ wq.data
+        q += bq.data
+        k = xh @ wk.data
+        v = xh @ wv.data
+        v += bv.data
+        qh = np.transpose(q.reshape(split), (0, 2, 1, 3))
+        kt = np.transpose(np.transpose(k.reshape(split), (0, 2, 1, 3)), (0, 1, 3, 2))
+        vh = np.transpose(v.reshape(split), (0, 2, 1, 3))
+        probs = qh @ kt
+        probs *= scale
+        if add_mask is not None:
+            probs += add_mask[lo:hi] if per_row_mask else add_mask
+        if not np.all(np.isfinite(probs)):
+            raise NumericError("non-finite input to softmax")
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return [qh, kt, vh, probs]
+
+    out = np.empty((b, t, w))
+    with lane(_rows(xd), xd.size) as held:
+        spans = _halves(b, held)
+        parts = _each(probabilities, spans, held)
+        keep = _dropout_keep((b, heads, t, t), p, rng, training)
+        context = np.empty((b, heads, t, hd))
+
+        def attend(i):
+            lo, hi = spans[i]
+            vh, probs = parts[i][2:]
+            if not record:
+                parts[i] = None  # no backward will read q, k, v or the probabilities
+            dropped = probs if keep is None else probs * (keep[lo:hi] / (1.0 - p))
+            np.matmul(dropped, vh, out=context[lo:hi])
+
+        _each(attend, spans, held)
+        ctx = _merge_heads(context)
+        del context
+
+        def project(i):
+            lo, hi = spans[i]
+            np.matmul(ctx[lo:hi], wo.data, out=out[lo:hi])
+            out[lo:hi] += bo.data
+
+        _each(project, spans, held)
 
     def bw(g):
-        dctx = _linear_grads(ctx, wo, bo, g, need_q or need_k or need_v)
-        if dctx is None:
-            return
-        dc = np.transpose(dctx.reshape(split), (0, 2, 1, 3))
-        scale_keep = None if keep is None else keep / (1.0 - p)
-        dvh = dqh = dkt = None
-        if need_v:
-            dropped = probs if scale_keep is None else probs * scale_keep
-            dvh = np.swapaxes(dropped, -1, -2) @ dc
-        if need_q or need_k:
-            ds = dc @ np.swapaxes(vh, -1, -2)
-            if scale_keep is not None:
-                ds *= scale_keep
-            dot = (ds * probs).sum(axis=-1, keepdims=True)
-            ds -= dot
-            ds *= probs
-            ds *= scale
-            if need_q:
-                dqh = ds @ np.swapaxes(kt, -1, -2)
+        with lane(_rows(g), g.size) as held:
+            reduced, dctx = pair(
+                lambda: _reductions(ctx, wo, bo, g),
+                lambda: _input_grad(wo, g) if need_q or need_k or need_v else None, held)
+            _accum_all(reduced)
+            if dctx is None:
+                return
+            dvh = np.empty((b, heads, t, hd)) if need_v else None
+            dqh = np.empty((b, heads, t, hd)) if need_q else None
+            dkt = np.empty((b, heads, hd, t)) if need_k else None
+
+            def rows(i):
+                lo, hi = spans[i]
+                qh, kt, vh, probs = parts[i]
+                dc = np.transpose(dctx[lo:hi].reshape((hi - lo, t, heads, hd)), (0, 2, 1, 3))
+                scale_keep = None if keep is None else keep[lo:hi] / (1.0 - p)
+                if need_v:
+                    dropped = probs if scale_keep is None else probs * scale_keep
+                    np.matmul(np.swapaxes(dropped, -1, -2), dc, out=dvh[lo:hi])
+                if need_q or need_k:
+                    ds = dc @ np.swapaxes(vh, -1, -2)
+                    if scale_keep is not None:
+                        ds *= scale_keep
+                    dot = (ds * probs).sum(axis=-1, keepdims=True)
+                    ds -= dot
+                    ds *= probs
+                    ds *= scale
+                    if need_q:
+                        np.matmul(ds, np.swapaxes(kt, -1, -2), out=dqh[lo:hi])
+                    if need_k:
+                        np.matmul(np.swapaxes(qh, -1, -2), ds, out=dkt[lo:hi])
+
+            _each(rows, spans, held)
+            linears = []
+            if need_v:
+                linears.append((wv, bv, _merge_heads(dvh)))
             if need_k:
-                dkt = np.swapaxes(qh, -1, -2) @ ds
-        if need_v:
-            _accum(x, _linear_grads(xd, wv, bv, merge(dvh), x.requires_grad))
-        if need_k:
-            _accum(x, _linear_grads(xd, wk, None, merge(np.transpose(dkt, (0, 1, 3, 2))),
-                                    x.requires_grad))
-        if need_q:
-            _accum(x, _linear_grads(xd, wq, bq, merge(dqh), x.requires_grad))
+                linears.append((wk, None, _merge_heads(np.transpose(dkt, (0, 1, 3, 2)))))
+            if need_q:
+                linears.append((wq, bq, _merge_heads(dqh)))
+            del dvh, dqh, dkt
+            reduced, dxs = pair(
+                lambda: [_reductions(xd, wl, bl, gl) for wl, bl, gl in linears],
+                lambda: [_input_grad(wl, gl) if x.requires_grad else None
+                         for wl, _, gl in linears], held)
+            for grads, dx in zip(reduced, dxs):
+                _accum_all(grads)
+                if dx is not None:
+                    _accum(x, dx)
 
     return _make(out, (x, wq, bq, wk, wv, bv, wo, bo), bw)
+
+
+def _merge_heads(gh: np.ndarray) -> np.ndarray:
+    """Per-head values (B, heads, T, hd) side by side as (B, T, W): a view
+    where numpy's reshape allows one (T, heads or hd of 1, or a transposed
+    gh), else a copy. The layout decides which BLAS routine a later product
+    calls, so the full array is always merged as a whole."""
+    b, heads, t, hd = gh.shape
+    return np.transpose(gh, (0, 2, 1, 3)).reshape((b, t, heads * hd))
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -492,28 +668,61 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     rebuilds the activation u * phi. With no input requiring a grad, the
     activation overwrites phi and u is freed before the second product."""
     xd = x.data
-    u = xd @ w1.data
-    u += b1.data
-    phi = u * _INV_SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
     need_u = x.requires_grad or w1.requires_grad or b1.requires_grad
-    if need_u or w2.requires_grad or b2.requires_grad:
-        out = (u * phi) @ w2.data
-    else:  # no backward will read u or phi
-        phi *= u
-        del u
-        out = phi @ w2.data
-    out += b2.data
+    record = need_u or w2.requires_grad or b2.requires_grad
+
+    def rows(i):
+        lo, hi = spans[i]
+        u = xd[lo:hi] @ w1.data
+        u += b1.data
+        phi = u * _INV_SQRT2
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        if record:
+            out = (u * phi) @ w2.data
+        else:  # no backward will read u or phi
+            phi *= u
+            del u
+            out = phi @ w2.data
+            u = phi = None
+        out += b2.data
+        return [u, phi, out]
+
+    with lane(_rows(xd), xd.size) as held:
+        spans = _halves(len(xd), held)
+        parts = _each(rows, spans, held)
+    outs = [part.pop() for part in parts]  # the graph keeps u and phi only
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     def bw(g):
-        dact = _linear_grads(u * phi if w2.requires_grad else None, w2, b2, g, need_u)
-        if dact is None:
-            return
-        pdf = np.exp(-0.5 * u * u) * _INV_SQRT2PI
-        du = dact * (phi + u * pdf)
-        _accum(x, _linear_grads(xd, w1, b1, du, x.requires_grad))
+        with lane(_rows(g), g.size) as held:
+            def reductions():
+                act = None
+                if w2.requires_grad:
+                    act = np.empty(g.shape[:-1] + w2.shape[:1])
+                    for (lo, hi), (u, phi) in zip(spans, parts):
+                        np.multiply(u, phi, out=act[lo:hi])
+                return _reductions(act, w2, b2, g)
+
+            reduced, dact = pair(reductions, lambda: _input_grad(w2, g) if need_u else None,
+                                 held)
+            _accum_all(reduced)
+            if dact is None:
+                return
+
+            def rows(i):  # dact becomes du in place
+                lo, hi = spans[i]
+                u, phi = parts[i]
+                pdf = np.exp(-0.5 * u * u) * _INV_SQRT2PI
+                dact[lo:hi] *= phi + u * pdf
+
+            _each(rows, spans, held)
+            reduced, dx = pair(lambda: _reductions(xd, w1, b1, dact),
+                               lambda: _input_grad(w1, dact) if x.requires_grad else None, held)
+            _accum_all(reduced)
+            if dx is not None:
+                _accum(x, dx)
 
     return _make(out, (x, w1, b1, w2, b2), bw)
 
@@ -533,34 +742,54 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer norm affine params must have shape ({d},)")
     keep = _dropout_keep(a.shape, p, rng, training)
-    xhat = x.data + (a.data if keep is None else a.data * (keep / (1.0 - p)))
-    mu = xhat.mean(axis=-1, keepdims=True)
-    var = xhat.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat -= mu
-    xhat *= inv
+    xd, ad = x.data, a.data
     need_r = x.requires_grad or a.requires_grad
-    if need_r or gamma.requires_grad or beta.requires_grad:
-        out = xhat * gamma.data
-    else:  # no backward will read xhat
-        out = xhat
-        out *= gamma.data
-    out += beta.data
+    xhat = np.empty(xd.shape)
+    inv = np.empty(xd.shape[:-1] + (1,))
+    # with no backward to read xhat, the affine overwrites it
+    out = np.empty(xd.shape) if need_r or gamma.requires_grad or beta.requires_grad else xhat
+
+    def rows(i):
+        lo, hi = spans[i]
+        xh, ih = xhat[lo:hi], inv[lo:hi]
+        np.add(xd[lo:hi], ad[lo:hi] if keep is None else ad[lo:hi] * (keep[lo:hi] / (1.0 - p)),
+               out=xh)
+        mu = xh.mean(axis=-1, keepdims=True)
+        var = xh.var(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + 1e-5), out=ih)
+        xh -= mu
+        xh *= ih
+        np.multiply(xh, gamma.data, out=out[lo:hi])
+        out[lo:hi] += beta.data
+
+    with lane(_rows(xd), xd.size) as held:
+        spans = _halves(len(xd), held)
+        _each(rows, spans, held)
 
     def bw(g):
-        lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=lead))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=lead))
-        if need_r:
+        def reductions():
+            lead = tuple(range(g.ndim - 1))
+            grads = []
+            if gamma.requires_grad:
+                grads.append((gamma, (g * xhat).sum(axis=lead)))
+            if beta.requires_grad:
+                grads.append((beta, g.sum(axis=lead)))
+            return grads
+
+        def residual():
+            if not need_r:
+                return []
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             dr = (dxhat - m1 - xhat * m2) * inv
-            _accum(x, dr)
-            if a.requires_grad:
-                _accum(a, dr if keep is None else dr * (keep / (1.0 - p)))
+            if not a.requires_grad:
+                return [(x, dr)]
+            return [(x, dr), (a, dr if keep is None else dr * (keep / (1.0 - p)))]
+
+        with lane(_rows(g), g.size) as held:
+            reduced, residuals = pair(reductions, residual, held)
+        _accum_all(reduced + residuals)
 
     return _make(out, (x, a, gamma, beta), bw)
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,7 +40,9 @@ from .metrics import (
 )
 from .model import LengthError, Model, PretrainOutput
 from .schema import CATEGORICAL, Schema, TimeSeries
-from .tensor import NumericError, Tensor, concat, cross_entropy_soft, mean, softmax
+from .tensor import (
+    NumericError, Tensor, concat, cross_entropy_soft, lane, mean, pair, softmax,
+)
 
 
 class ConfigError(Exception):
@@ -236,8 +236,16 @@ def pretrain_loss(out: PretrainOutput, cfg: TrainConfig) -> Tensor:
 class AdamW:
     """Decoupled-weight-decay Adam with bias correction and eps 1e-8.
     Decay skips the names in `no_decay` (layer-norm gains/biases).
-    Parameters without a gradient are left untouched; a non-finite gradient
-    aborts the step before any parameter is mutated."""
+    Parameters without a gradient are left untouched, moments included; a
+    non-finite gradient aborts the step before any parameter is mutated.
+
+    A step updates the moments and the parameters in place, through two
+    scratch buffers per lane, with the same IEEE operations in the same
+    order as `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`,
+    `p -= lr * (m/bc1) / (sqrt(v/bc2) + 1e-8)` after the decay. The live
+    parameters, in name order, form two contiguous groups of about equal
+    size; when the worker lane is free (see `tensor.lane`), the second group
+    is updated there."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
                  betas: tuple[float, float] = (0.9, 0.999),
@@ -250,6 +258,8 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
+        biggest = max((p.size for p in params.values()), default=0)
+        self._scratch = np.empty((2, 2, biggest))  # per lane: two buffers
 
     def step(self) -> None:
         live = [(k, p) for k, p in sorted(self.params.items()) if p.grad is not None]
@@ -257,16 +267,36 @@ class AdamW:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for {k!r}; step aborted")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for k, p in live:
-            g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + 1e-8)
+        sizes = np.cumsum([p.size for _, p in live])
+        total = int(sizes[-1]) if live else 0
+        cut = int(np.searchsorted(sizes, total / 2))
+        with lane(len(live), total) as held:
+            pair(lambda: self._update(live[:cut], self._scratch[0]),
+                 lambda: self._update(live[cut:], self._scratch[1]), held)
+
+    def _update(self, group, scratch: np.ndarray) -> None:
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for k, p in group:
+            g, m, v = p.grad, self.m[k], self.v[k]
+            s, update = (buf[:p.size].reshape(p.shape) for buf in scratch)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += 1e-8
+            np.divide(m, bc1, out=update)
+            update /= s
             if self.weight_decay and k not in self.no_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * update
+            update *= self.lr
+            p.data -= update
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +398,6 @@ def pretrain(data: list[TimeSeries], model: Model, cfg: TrainConfig,
     return PretrainResult(losses, len(losses), opt)
 
 
-# predict's second lane: one worker thread, started by the first submit
-_LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="unittab-predict")
-
-
 def _score_batch(model: Model, batch, task: str) -> np.ndarray:
     out = model.finetune_forward(batch, rng=None, training=False)
     return out.data if task == "regression" else softmax(out, axis=-1).data[:, 1]
@@ -382,32 +408,30 @@ def predict(model: Model, samples, task: str, batch_size: int = 64):
     no batch records a tape. Returns one value per sample: the prediction
     for regression, P(class 1) for binary.
 
-    The batches are the `batch_size` slices of `samples` in order. When the
-    process may run on two or more CPUs (`os.sched_getaffinity`) and there
-    are at least two batches, they run in pairs on two lanes: the calling
-    thread scores one batch while one persistent worker thread scores the
-    next. numpy's products and ufuncs release the GIL, so the two overlap.
-    Each score is computed from the same batch by the same operations as on
-    one lane, so it has the same bits; results join in batch order. At
-    most two batches are in flight, so inference holds at most two batches'
-    intermediates at once. Both lanes run inside one `model.frozen` block,
-    which exits only after the worker's batch has finished, also on error;
-    the error of the earliest failing batch is raised."""
+    The batches are the `batch_size` slices of `samples` in order, taken
+    in pairs. When the library's worker lane is free (`tensor.lane`: the
+    process may run on two or more CPUs and no other caller holds it), the
+    calling thread scores the first batch of a pair while the lane scores
+    the second; numpy's products and ufuncs release the GIL, so the two
+    overlap. The lane is held only while a batch runs on it, and inside a
+    paired batch every fused op runs whole on its own thread. A batch
+    scored alone (the only batch, the odd last one, or a pair whose lane
+    was busy) may split its fused ops across the lane itself. Each score is
+    computed from the same batch by the same operations either way, so it
+    has the same bits; results join in batch order. At most two batches are
+    in flight, so inference holds at most two batches' intermediates at
+    once. Both lanes run inside one `model.frozen` block, which exits only
+    after the lane's batch has finished, also on error; the error of the
+    earliest failing batch is raised."""
     batches = list(_batched(samples, batch_size))
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    lanes = 2 if len(batches) > 1 and len(cpus) > 1 else 1
     scores = []
     with model.frozen(model.params):
-        for lo in range(0, len(batches), lanes):
-            batch, *rest = batches[lo:lo + lanes]
-            ahead = _LANE.submit(_score_batch, model, rest[0], task) if rest else None
-            try:
-                scores.append(_score_batch(model, batch, task))
-            finally:
-                if ahead is not None:
-                    wait([ahead])
-            if ahead is not None:
-                scores.append(ahead.result())
+        for lo in range(0, len(batches), 2):
+            first, *rest = batches[lo:lo + 2]
+            with lane(1 + len(rest)) as held:
+                here, there = pair(lambda: _score_batch(model, first, task),
+                                   lambda: [_score_batch(model, b, task) for b in rest], held)
+            scores += [here, *there]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 

@@ -136,6 +136,20 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run_cli("pretrain", "--config", str(cfg_path)) == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_invalid_train_config_exits_2_before_anything_is_written(command, tmp_path, capsys):
+    # neither the dataset nor the checkpoint exists: the config is checked first
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"batch_size": 0},
+                                    "data": {"dir": str(tmp_path / "no_data"),
+                                             "checkpoint": str(tmp_path / "no.ckpt")},
+                                    "out_dir": str(tmp_path / "run")}))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg_path)) == 2
+    _one_line_error(capsys, "batch_size must be >= 1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_grad_check_single_op():
     assert run_cli("grad-check", "--op", "softmax", "--trials", "3") == 0
 

@@ -17,7 +17,7 @@ from unittab.metrics import UndefinedMetricError
 from unittab.model import (
     LengthError, Model, ModelConfig, smoothed_bin_targets, smoothed_class_targets,
 )
-from unittab import training
+from unittab import tensor, training
 from unittab.schema import Cat, Num, Row, Time, TimeSeries
 from unittab.tensor import NumericError, Tensor, softmax
 from unittab.training import (
@@ -753,11 +753,17 @@ def test_two_lane_predict_matches_sequential_reference_bitwise(task, batch_size,
                          ids=["one_cpu", "one_batch"])
 def test_predict_without_a_second_lane_submits_nothing(n_cpus, n_samples, batch_size,
                                                         monkeypatch):
+    """On one CPU nothing at all goes to the lane, fused ops included. A
+    lone batch runs on the calling thread; its fused ops may split."""
     model, samples = mixed_length_samples("binary", n_samples)
-    monkeypatch.setattr(training._LANE, "submit", lambda *args: pytest.fail("submitted"))
+    reference = sequential_predict(model, samples, "binary", batch_size)
+    if n_cpus == 1:
+        monkeypatch.setattr(tensor._LANE, "submit", lambda *args: pytest.fail("submitted"))
     cpus(monkeypatch, n_cpus)
+    seen = lanes_used(model)
     scores = predict(model, samples, "binary", batch_size)
-    assert np.array_equal(scores, sequential_predict(model, samples, "binary", batch_size))
+    assert np.array_equal(scores, reference)
+    assert all(t is threading.current_thread() for t in seen["threads"])
 
 
 def test_predict_restores_requires_grad_when_the_forward_raises(monkeypatch):
