@@ -93,11 +93,12 @@ LEAF_NAMES = ["x", "wq", "bq", "wk", "wv", "bv", "wo", "bo", "w1", "b1", "w2", "
        frozen=st.sets(st.sampled_from(LEAF_NAMES), max_size=3), seed=st.integers(0, 2**16))
 def test_fused_op_on_two_lanes_matches_one_bitwise(op, b, t, heads, hd, mask, frozen, seed):
     with pytest.MonkeyPatch.context() as mp:
-        use_cpus(mp, 1)
+        submits_one = use_cpus(mp, 1)
         out, grads = run_op(op, b, t, heads, hd, mask, frozen, seed)
     with pytest.MonkeyPatch.context() as mp:
         submits = use_cpus(mp, 2)
         out2, grads2 = run_op(op, b, t, heads, hd, mask, frozen, seed)
+    assert not submits_one
     assert np.array_equal(out, out2)
     for k, g in grads.items():
         assert (g is None) == (grads2[k] is None), k
@@ -137,13 +138,14 @@ def test_adamw_on_two_lanes_matches_the_whole_array_update_bitwise(shapes, gradl
         m = {k: np.zeros_like(p.data) for k, p in params.items()}
         v = {k: np.zeros_like(p.data) for k, p in params.items()}
         with pytest.MonkeyPatch.context() as mp:
-            use_cpus(mp, n_cpus)
+            submits = use_cpus(mp, n_cpus)
             for step in range(1, steps + 1):
                 for i, k in enumerate(params):
                     g = None if i in gradless else rng.normal(size=params[k].shape)
                     params[k].grad, ref[k].grad = g, g
                 opt.step()
                 adamw_reference(ref, m, v, step, 1e-2, (0.9, 0.999), 0.1, {"p1"})
+        assert n_cpus > 1 or not submits
         for k in params:
             assert np.array_equal(params[k].data, ref[k].data), k
             assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
