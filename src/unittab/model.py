@@ -13,7 +13,7 @@ to per-attribute prediction heads at masked positions.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class _RowLayout:
     groups: dict[int, list[tuple[int, int]]]  # type id -> (sample, row) members
     row_flat: np.ndarray                      # sample * T + row, per grouped row
     slot_base: np.ndarray                     # (B, T) slot of each row's first field
-    values: dict = field(default_factory=dict)  # type id -> stacked (cat ids, values, missing)
+    values: dict                              # type id -> stacked (cat ids, values, missing)
 
     @classmethod
     def build(cls, rows_by_sample, schema: Schema) -> "_RowLayout":
@@ -112,6 +112,7 @@ class _RowLayout:
         type_order = sorted(groups)
         row_flat = []
         slot_base = np.full((b, t), -1, dtype=np.int64)
+        values = {}
         n_slots = 0
         for h in type_order:
             members = np.array(groups[h], dtype=np.int64)
@@ -119,24 +120,15 @@ class _RowLayout:
             row_flat.append(members[:, 0] * t + members[:, 1])
             slot_base[members[:, 0], members[:, 1]] = n_slots + np.arange(len(members)) * k
             n_slots += len(members) * k
-        layout = cls((b, t), type_order, groups, np.concatenate(row_flat), slot_base)
-        layout.values = layout.stack(rows_by_sample)
-        return layout
+            rows = [rows_by_sample[bb][i] for bb, i in groups[h]]
+            values[h] = (np.stack([r.cat_ids for r in rows]), np.stack([r.num_vals for r in rows]),
+                         np.stack([r.is_missing for r in rows]))
+        return cls((b, t), type_order, groups, np.concatenate(row_flat), slot_base, values)
 
-    def stack(self, rows_by_sample) -> dict:
-        """Per row type, the members' (cat ids, values, missing flags) as
-        (r, k) arrays; `rows_by_sample` must have this layout's row types."""
-        out = {}
-        for h in self.type_order:
-            rows = [rows_by_sample[b][i] for b, i in self.groups[h]]
-            out[h] = (np.stack([r.cat_ids for r in rows]), np.stack([r.num_vals for r in rows]),
-                      np.stack([r.is_missing for r in rows]))
-        return out
-
-    def flatten(self, values: dict, schema: Schema):
+    def flatten(self, schema: Schema):
         """Slot-order category ids, numerical values and attribute ids."""
         tables = schema.slots
-        parts = [(values[h][0].reshape(-1), values[h][1].reshape(-1),
+        parts = [(self.values[h][0].reshape(-1), self.values[h][1].reshape(-1),
                   np.tile(tables.attr_id[h, :tables.arity[h]], len(self.groups[h])))
                  for h in self.type_order]
         return tuple(np.concatenate(p) for p in zip(*parts))
@@ -389,8 +381,9 @@ class Model:
         """Masked-token pass: logits (or scalar predictions in regression
         mode) are emitted only at masked positions, grouped per attribute in
         attribute-name order; within an attribute, targets keep (sample, row,
-        field) order. Class and bin labels come from the untouched source
-        values and are smoothed once per attribute for the whole batch."""
+        field) order. Class and bin labels come from the rows' values, which
+        masking leaves in place (a masked input only swaps its embedding for
+        [MASK]), and are smoothed once per attribute for the whole batch."""
         rows_by_sample = [s.rows for s in batch]
         t = max(len(r) for r in rows_by_sample)
         if t > self.config.t_max:  # sequence_forward's check, ahead of the zero-target return
@@ -416,10 +409,7 @@ class Model:
             off += r
         slices = concat(pieces, axis=0)
 
-        values = layout.values
-        if any(s.source is not None for s in batch):
-            values = layout.stack([s.rows if s.source is None else s.source for s in batch])
-        cat_ids, num_vals, slot_attr = layout.flatten(values, self.schema)
+        cat_ids, num_vals, slot_attr = layout.flatten(self.schema)
         sample_of = np.repeat(np.arange(len(batch)), [len(s.targets) for s in batch])
         pos = np.concatenate([s.targets for s in batch])
         slot = layout.slot_base[sample_of, pos[:, 0]] + pos[:, 1]

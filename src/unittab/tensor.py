@@ -34,18 +34,21 @@ first submit (importing starts none). A caller takes its lock without
 waiting (`lane`) and, while it holds it, runs one piece of work on the lane
 and another on its own thread (`pair`); a caller that finds the lock taken,
 or a process allowed only one CPU, runs everything on its own thread and
-submits nothing. Each fused op takes the lane for an input of SPLIT_MIN
-elements or more with two or more rows on the leading (batch) axis of a
->= 3-d array, and then:
+submits nothing. `attention` and `feed_forward` take the lane for an
+input of SPLIT_MIN elements or more with two or more rows on the leading
+(batch) axis of a >= 3-d array, and then:
 
-- its forward runs the lower half of the rows on the calling thread and the
-  upper half on the lane;
-- its backward runs the per-row part the same way: the attention
+- the forward runs the lower half of the rows on the calling thread and
+  the upper half on the lane;
+- the backward runs the per-row part the same way: the attention
   probabilities' backward, and the GELU derivative in `feed_forward`;
 - the whole-batch reductions run unsplit on one thread: the weight-grad
   products of `_matmul_rhs_grad`, whose inner dimension is B*T, and the
-  bias, gamma and beta sums. The input grads `g @ w.T`, or the layer
-  norm's per-row backward, run on the other.
+  bias sums. The input grads `g @ w.T` run on the other.
+
+`residual_layer_norm` always runs whole: its elementwise work is small next
+to the products, splitting it gained nothing at any shape measured, and
+its two hand-offs a call were about 30% of a training step's.
 
 Dropout masks are drawn on the calling thread for the full shape, at the
 same point in the PRNG stream as on one lane. Every grad is accumulated on
@@ -745,51 +748,32 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     xd, ad = x.data, a.data
     need_r = x.requires_grad or a.requires_grad
     xhat = np.empty(xd.shape)
-    inv = np.empty(xd.shape[:-1] + (1,))
+    np.add(xd, ad if keep is None else ad * (keep / (1.0 - p)), out=xhat)
+    mu = xhat.mean(axis=-1, keepdims=True)
+    var = xhat.var(axis=-1, keepdims=True)
+    inv = np.divide(1.0, np.sqrt(var + 1e-5))
+    xhat -= mu
+    xhat *= inv
     # with no backward to read xhat, the affine overwrites it
     out = np.empty(xd.shape) if need_r or gamma.requires_grad or beta.requires_grad else xhat
-
-    def rows(i):
-        lo, hi = spans[i]
-        xh, ih = xhat[lo:hi], inv[lo:hi]
-        np.add(xd[lo:hi], ad[lo:hi] if keep is None else ad[lo:hi] * (keep[lo:hi] / (1.0 - p)),
-               out=xh)
-        mu = xh.mean(axis=-1, keepdims=True)
-        var = xh.var(axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(var + 1e-5), out=ih)
-        xh -= mu
-        xh *= ih
-        np.multiply(xh, gamma.data, out=out[lo:hi])
-        out[lo:hi] += beta.data
-
-    with lane(_rows(xd), xd.size) as held:
-        spans = _halves(len(xd), held)
-        _each(rows, spans, held)
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def bw(g):
-        def reductions():
-            lead = tuple(range(g.ndim - 1))
-            grads = []
-            if gamma.requires_grad:
-                grads.append((gamma, (g * xhat).sum(axis=lead)))
-            if beta.requires_grad:
-                grads.append((beta, g.sum(axis=lead)))
-            return grads
-
-        def residual():
-            if not need_r:
-                return []
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dr = (dxhat - m1 - xhat * m2) * inv
-            if not a.requires_grad:
-                return [(x, dr)]
-            return [(x, dr), (a, dr if keep is None else dr * (keep / (1.0 - p)))]
-
-        with lane(_rows(g), g.size) as held:
-            reduced, residuals = pair(reductions, residual, held)
-        _accum_all(reduced + residuals)
+        lead = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).sum(axis=lead))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=lead))
+        if not need_r:
+            return
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dr = (dxhat - m1 - xhat * m2) * inv
+        _accum(x, dr)
+        if a.requires_grad:
+            _accum(a, dr if keep is None else dr * (keep / (1.0 - p)))
 
     return _make(out, (x, a, gamma, beta), bw)
 

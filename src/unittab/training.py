@@ -6,10 +6,7 @@ subfields of one timestamp form a single unit (jointly masked or jointly
 unmasked). `apply_masking` decides a whole sample from one draw of
 t + (number of units) doubles: t row draws, then the units of each row in
 row order, using the per-row-type unit tables cached on the schema
-(`Schema.slots`). Masked inputs are replaced by the [MASK] embedding. The
-`bert_80_10_10` variant then draws one more double per target: 80% keep
-[MASK], 10% show a random value (drawn per attribute), 10% show the true
-value; the targets keep the source values either way.
+(`Schema.slots`). Masked inputs are replaced by the [MASK] embedding.
 
 Target format: a `MaskedSample` lists its predicted positions as an (n, 2)
 array of (row, field) indices in row-major order; missing values are never
@@ -39,7 +36,7 @@ from .metrics import (
     roc_auc,
 )
 from .model import LengthError, Model, PretrainOutput
-from .schema import CATEGORICAL, Schema, TimeSeries
+from .schema import Schema, TimeSeries
 from .tensor import (
     NumericError, Tensor, concat, cross_entropy_soft, lane, mean, pair, softmax,
 )
@@ -57,7 +54,6 @@ class LabelError(Exception):
 class TrainConfig:
     p_f: float = 0.15                 # field masking probability
     p_r: float = 0.1                  # row masking probability
-    timestamp_joint: bool = True
     epsilon: float = 0.1              # label smoothing mass
     neighborhood_radius: int = 5
     regression_weight: float = 50.0   # MSE weight when numeric_target="scalar"
@@ -67,7 +63,6 @@ class TrainConfig:
     batch_size: int = 8               # 120 at full scale
     epochs: int = 1
     seed: int = 0
-    mask_variant: str = "pure"        # "pure" | "bert_80_10_10"
     max_steps: int | None = None
     checkpoint_every: int | None = None
 
@@ -78,8 +73,6 @@ class TrainConfig:
             raise ConfigError("label smoothing epsilon must be in [0, 1)")
         if self.neighborhood_radius < 0:
             raise ConfigError("neighborhood radius must be >= 0")
-        if self.mask_variant not in ("pure", "bert_80_10_10"):
-            raise ConfigError(f"unknown mask_variant {self.mask_variant!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.max_steps is not None and self.max_steps < 0:
@@ -105,12 +98,11 @@ class TrainConfig:
 
 @dataclass
 class MaskedSample:
-    rows: list[EncodedRow]          # model inputs; a row is copied only if a value is replaced
+    rows: list[EncodedRow]          # model inputs: the sample's rows, unchanged
     mask: list[np.ndarray]          # input-replacement flags, one bool array per row
     targets: np.ndarray             # (n, 2) int64 (row, field) predicted positions, row-major
     epsilon: float                  # label smoothing mass for the targets
     neighborhood_radius: int
-    source: list[EncodedRow] | None = None  # the untouched rows, kept when `rows` differs
 
 
 def apply_masking(sample, schema: Schema, cfg: TrainConfig,
@@ -130,62 +122,17 @@ def apply_masking(sample, schema: Schema, cfg: TrainConfig,
     row_of = np.repeat(np.arange(t), k)
     starts = np.cumsum(k) - k
     field = np.arange(row_of.size) - starts[row_of]
-    if cfg.timestamp_joint:
-        n_units = tables.n_units[types]
-        unit = tables.unit[types[row_of], field]
-    else:
-        n_units, unit = k, field
+    n_units = tables.n_units[types]
+    unit = tables.unit[types[row_of], field]
     u = rng.random(t + int(n_units.sum()))
     unit_base = t + np.cumsum(n_units) - n_units
     mask = (u[unit_base[row_of] + unit] < cfg.p_f) | (u[:t] < cfg.p_r)[row_of]
     missing = np.concatenate([r.is_missing for r in rows]) if t else np.zeros(0, dtype=bool)
     pos = np.flatnonzero(mask & ~missing)
     targets = np.stack([row_of[pos], field[pos]], axis=1)
-    source = None
-    if cfg.mask_variant == "bert_80_10_10" and pos.size:
-        corrupted = _corrupt_inputs(rows, mask, pos, targets, types, schema, rng)
-        if corrupted is not rows:
-            rows, source = corrupted, rows
     ends = (starts + k).tolist()
     masks = [mask[a:b] for a, b in zip(starts.tolist(), ends)]
-    return MaskedSample(rows, masks, targets, cfg.epsilon, cfg.neighborhood_radius, source)
-
-
-def _corrupt_inputs(rows, mask, pos, targets, types, schema, rng):
-    """BERT 80/10/10 on the predicted positions, in place on `mask`: one
-    double per target keeps 80% as [MASK], unmasks 10% with a random value
-    (one draw per attribute, attributes in id order) and 10% as they are.
-    Targets keep the original values; rows are copied only where a value
-    changes. Returns the (possibly new) row list."""
-    u = rng.random(pos.size)
-    mask[pos[u >= 0.8]] = False
-    swap = np.flatnonzero((u >= 0.8) & (u < 0.9))
-    if not swap.size:
-        return rows
-    tables = schema.slots
-    swap_row, swap_field = targets[swap, 0], targets[swap, 1]
-    attr = tables.attr_id[types[swap_row], swap_field]
-    value = np.empty(swap.size)
-    is_cat = np.zeros(swap.size, dtype=bool)
-    for a in np.unique(attr).tolist():
-        spec = schema.attributes[tables.names[a]]
-        sel = attr == a
-        if spec.kind == CATEGORICAL:
-            value[sel] = rng.integers(0, len(spec.vocab), size=int(sel.sum()))
-            is_cat[sel] = True
-        else:
-            value[sel] = rng.uniform(*spec.value_range, size=int(sel.sum()))
-    rows = list(rows)
-    for i in np.unique(swap_row).tolist():
-        r = rows[i]
-        cat_ids, num_vals = r.cat_ids.copy(), r.num_vals.copy()
-        here = swap_row == i
-        cat = here & is_cat
-        num = here & ~is_cat
-        cat_ids[swap_field[cat]] = value[cat].astype(cat_ids.dtype)
-        num_vals[swap_field[num]] = value[num]
-        rows[i] = EncodedRow(r.type_id, cat_ids, num_vals, r.is_missing)
-    return rows
+    return MaskedSample(rows, masks, targets, cfg.epsilon, cfg.neighborhood_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,8 @@ def check_model(seed: int = 0) -> CheckResult:
 
 
 def run_suite(ops=None, inject_bug: bool = False, seed: int = 0,
-              include_model: bool = True, trials: int = 10) -> list[CheckResult]:
+              trials: int = 10) -> list[CheckResult]:
     results = check_primitives(ops, inject_bug, seed, trials)
-    if include_model and not ops:
+    if not ops:
         results.append(check_model(seed))
     return results

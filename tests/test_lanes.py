@@ -1,9 +1,9 @@
 """The worker lane: fused ops and AdamW split across two threads, bit for bit.
 
 With two usable CPUs (`os.sched_getaffinity`, monkeypatched here as in the
-`predict` tests) and the lane free, `attention`, `feed_forward`,
-`residual_layer_norm` and `AdamW.step` hand half of their work to the
-library's one worker thread. Every numpy call sees the operands it sees on
+`predict` tests) and the lane free, `attention`, `feed_forward` and
+`AdamW.step` hand half of their work to the library's one worker thread;
+`residual_layer_norm` runs whole. Every numpy call sees the operands it sees on
 one CPU, so outputs, grads, moments and the golden pins must keep their
 bits. `tensor.SPLIT_MIN` is set to 0 so the small shapes here split.
 """
@@ -103,7 +103,7 @@ def test_fused_op_on_two_lanes_matches_one_bitwise(op, b, t, heads, hd, mask, fr
     for k, g in grads.items():
         assert (g is None) == (grads2[k] is None), k
         assert g is None or np.array_equal(g, grads2[k]), k
-    assert bool(submits) == (b > 1)
+    assert bool(submits) == (b > 1 and op is not residual_layer_norm)
 
 
 def adamw_reference(params, m, v, t, lr, betas, weight_decay, no_decay):
@@ -264,17 +264,63 @@ print("equal")
 """
 
 
+HOST_KERNEL_PRETRAIN = """
+import tempfile
+from pathlib import Path
+import test_masking_golden as G
+from unittab import tensor
+from unittab.model import Model, ModelConfig
+from unittab.training import TrainConfig, pretrain
+tensor.SPLIT_MIN = 0
+submits = []
+submit = tensor._LANE.submit
+tensor._LANE.submit = lambda fn: submits.append(fn) or submit(fn)
+schema, encoded = G._dataset("multitype")
+for d, m in [(8, 16), (16, 64)]:
+    runs = []
+    for n_cpus in (1, 2):
+        tensor.os.sched_getaffinity = lambda pid, n=n_cpus: set(range(n))
+        submits.clear()
+        config = ModelConfig(d=d, m=m, field_layers=1, field_heads=2, seq_layers=1,
+                             seq_heads=2, freq_count=3, t_max=10, n_row_types=schema.n_row_types)
+        cfg = TrainConfig(p_f=0.3, p_r=0.1, lr=1e-3, batch_size=4, epochs=2, seed=7,
+                          max_steps=4, checkpoint_every=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            losses = pretrain(encoded, Model(config, schema, seed=2), cfg,
+                              checkpoint_path=path).losses
+            runs.append((losses, path.read_bytes()))
+        assert bool(submits) == (n_cpus == 2), (d, m, n_cpus)
+    assert len(runs[0][0]) == 4 and runs[0] == runs[1], (d, m)
+print("equal")
+"""
+
+
+def run_on_the_hosts_own_blas_kernel(code: str) -> None:
+    """Run `code` in a process without the kernel pin, so OpenBLAS picks
+    the kernel for this CPU, and require that it prints "equal"."""
+    src = str(Path(unittab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.strip() == "equal", out.stderr
+
+
 def test_split_layer_matches_composed_ops_on_the_hosts_own_blas_kernel():
     """The pinned kernel rounds a strided and a contiguous operand alike in
     some products where others do not, so the layout of every operand must
     match the composed ops too: check on the kernel OpenBLAS picks for this
     CPU, in a process without the pin, with every op split."""
-    src = str(Path(unittab.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
-    out = subprocess.run([sys.executable, "-c", HOST_KERNEL_CHECK], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode == 0 and out.stdout.strip() == "equal", out.stderr
+    run_on_the_hosts_own_blas_kernel(HOST_KERNEL_CHECK)
+
+
+def test_pretrain_on_two_lanes_matches_one_on_the_hosts_own_blas_kernel():
+    """The golden pins hold under the pinned kernel only, so compare a
+    4-step pretrain (two checkpoints) on one usable CPU with the same run
+    on two, both on the host's own kernel with every op split: equal loss
+    curves and equal checkpoint bytes, at two model widths. The two runs
+    are compared with each other only; no value is pinned."""
+    run_on_the_hosts_own_blas_kernel(HOST_KERNEL_PRETRAIN)
 
 
 def test_importing_unittab_starts_no_thread():

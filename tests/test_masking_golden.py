@@ -33,7 +33,6 @@ def _dataset(kind: str):
 SETUPS = {
     "pollution": ("pollution", {}, {}),
     "multitype": ("multitype", {}, {}),
-    "pollution_ts_split": ("pollution", {}, {"timestamp_joint": False}),
     "multitype_regression": ("multitype", {"numeric_target": "scalar"}, {}),
 }
 
@@ -61,10 +60,6 @@ GOLDEN = {
         "0x1.5c9f7721a8330p+1", "0x1.5c9918290755ep+1", "0x1.5c0843daf9bdap+1",
         "0x1.57887d324c69fp+1", "0x1.535f5343b8f55p+1", "0x1.56343c14f9104p+1",
     ],
-    "pollution_ts_split": [
-        "0x1.5af1c10aee86dp+1", "0x1.5ff8e57a20258p+1", "0x1.5a8916e2b8d84p+1",
-        "0x1.528728b647b5ap+1", "0x1.550c0947fd4e0p+1", "0x1.52b5f4e96a9d7p+1",
-    ],
 }
 
 
@@ -74,27 +69,25 @@ def test_pretrain_curve_matches_per_row_implementation(name):
 
 
 def _reference_masking(sample, schema, cfg, rng):
-    """The original per-row masking loop, `pure` variant: input masks and
-    (row, field) target positions in row-major order."""
+    """The original per-row masking loop, with the subfields of a timestamp
+    as one unit: input masks and (row, field) target positions in row-major
+    order."""
     t = len(sample.rows)
     row_masked = rng.random(t) < cfg.p_r
     masks, targets = [], []
     for i, row in enumerate(sample.rows):
         rt = schema.row_type(row.type_id)
         units: list[list[int]] = []
-        if cfg.timestamp_joint:
-            seen: dict[str, list[int]] = {}
-            for s, name in enumerate(rt.attributes):
-                g = schema.attributes[name].group
-                if g is None:
-                    units.append([s])
-                elif g in seen:
-                    seen[g].append(s)
-                else:
-                    seen[g] = [s]
-                    units.append(seen[g])
-        else:
-            units = [[s] for s in range(rt.arity)]
+        seen: dict[str, list[int]] = {}
+        for s, name in enumerate(rt.attributes):
+            g = schema.attributes[name].group
+            if g is None:
+                units.append([s])
+            elif g in seen:
+                seen[g].append(s)
+            else:
+                seen[g] = [s]
+                units.append(seen[g])
         hit = rng.random(len(units)) < cfg.p_f
         mask = np.zeros(rt.arity, dtype=bool)
         for unit, h in zip(units, hit):
@@ -107,11 +100,10 @@ def _reference_masking(sample, schema, cfg, rng):
     return masks, targets
 
 
-@pytest.mark.parametrize("kind,joint", [("pollution", True), ("multitype", True),
-                                        ("multitype", False)])
-def test_masks_and_targets_match_per_row_reference(kind, joint):
+@pytest.mark.parametrize("kind", ["pollution", "multitype"])
+def test_masks_and_targets_match_per_row_reference(kind):
     schema, encoded = _dataset(kind)
-    cfg = TrainConfig(p_f=0.3, p_r=0.1, timestamp_joint=joint)
+    cfg = TrainConfig(p_f=0.3, p_r=0.1)
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
     crop_rng = np.random.default_rng(12)
     for _ in range(5):
