@@ -3,9 +3,9 @@
 With two usable CPUs (`os.sched_getaffinity`, monkeypatched here as in the
 `predict` tests) and the lane free, `attention`, `feed_forward` and
 `AdamW.step` hand half of their work to the library's one worker thread;
-`residual_layer_norm` runs whole. Every numpy call sees the operands it sees on
-one CPU, so outputs, grads, moments and the golden pins must keep their
-bits. `tensor.SPLIT_MIN` is set to 0 so the small shapes here split.
+`residual_layer_norm` runs whole. Every numpy call sees the operands it
+sees on one CPU, so outputs, grads, moments and the golden pins must keep
+their bits. `tensor.SPLIT_MIN` is set to 0 so the small shapes here split.
 """
 
 import os
@@ -317,7 +317,7 @@ def test_split_layer_matches_composed_ops_on_the_hosts_own_blas_kernel():
 def test_pretrain_on_two_lanes_matches_one_on_the_hosts_own_blas_kernel():
     """The golden pins hold under the pinned kernel only, so compare a
     4-step pretrain (two checkpoints) on one usable CPU with the same run
-    on two, both on the host's own kernel with every op split: equal loss
+    on two, both on the host's own kernel with `SPLIT_MIN` at 0: equal loss
     curves and equal checkpoint bytes, at two model widths. The two runs
     are compared with each other only; no value is pinned."""
     run_on_the_hosts_own_blas_kernel(HOST_KERNEL_PRETRAIN)
