@@ -136,6 +136,19 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run_cli("pretrain", "--config", str(cfg_path)) == 2
 
 
+@pytest.mark.parametrize("key,value", [("mask_variant", "bert_80_10_10"),
+                                       ("timestamp_joint", False)])
+def test_removed_masking_key_in_run_config_exits_2(key, value, tmp_path, capsys):
+    # masking has one path: the keys that chose another are unknown keys now
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"seed": 1, key: value},
+                                    "out_dir": str(tmp_path / "run")}))
+    capsys.readouterr()
+    assert run_cli("pretrain", "--config", str(cfg_path)) == 2
+    _one_line_error(capsys, f"unknown train config key {key!r}")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_invalid_train_config_exits_2_before_anything_is_written(command, tmp_path, capsys):
     # neither the dataset nor the checkpoint exists: the config is checked first

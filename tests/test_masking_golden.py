@@ -116,3 +116,27 @@ def test_masks_and_targets_match_per_row_reference(kind):
             assert [tuple(p) for p in np.asarray(out.targets).tolist()] == targets
     # both consumed exactly the same doubles
     assert rng_new.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("kind", ["pollution", "multitype"])
+def test_timestamp_subfields_are_masked_and_predicted_as_one_unit(kind):
+    """A timestamp's subfields are always one masking unit, in every row
+    type: a row masks all of them or none, and each masked subfield with a
+    value is a target."""
+    schema, encoded = _dataset(kind)
+    cfg = TrainConfig(p_f=0.5, p_r=0.0)
+    rng = np.random.default_rng(13)
+    units = {0: 0, 1: 0}
+    for series in encoded:
+        out = apply_masking(series, schema, cfg, rng)
+        targets = {tuple(p) for p in np.asarray(out.targets).tolist()}
+        for i, (row, m) in enumerate(zip(out.rows, out.mask)):
+            rt = schema.row_type(row.type_id)
+            ts = [s for s, name in enumerate(rt.attributes)
+                  if schema.attributes[name].group == "timestamp"]
+            assert len(ts) > 1
+            assert m[ts].all() or not m[ts].any()
+            units[int(m[ts][0])] += 1
+            for s in ts:
+                assert ((i, s) in targets) == bool(m[s] and not row.is_missing[s])
+    assert units[0] and units[1]
