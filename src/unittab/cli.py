@@ -6,8 +6,9 @@ config file. The one exception is gen-data, which has no config file:
 UNITTAB_SEED overrides its required --seed flag. Unknown config keys and
 invalid train settings are errors, found before anything is written or
 read. Exit codes: 0 success, 1 verification failure, 2 usage, config or
-input error (a bad dataset, labels file or checkpoint), reported as one
-line on stderr.
+input error (a bad dataset, labels file or checkpoint: among them a JSON
+file that does not parse, and a labels or targets file with no entry for
+some entity), reported as one line on stderr that names the file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .data import (
 from .embedding import prepare_series
 from .metrics import UndefinedMetricError, format_report_table
 from .model import Model, ModelConfig, ModelError
-from .schema import SchemaError, schema_from_json
+from .schema import SchemaError, schema_from_dict
 from .training import ConfigError, LabelError, TrainConfig, evaluate, finetune, pretrain
 from .verify import run_suite
 
@@ -38,7 +39,8 @@ class UsageError(Exception):
     pass
 
 
-_DATA_KEYS = {"dir", "checkpoint", "test_fraction", "window_t", "window_stride", "split_seed"}
+_DATA_KEYS = {"dir", "checkpoint", "test_fraction"}
+_WINDOW = 10  # pollution-like fine-tuning: windows of this many rows, at this stride
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -50,13 +52,19 @@ def _env_seed(default: int | None) -> int | None:
         raise UsageError(f"UNITTAB_SEED must be an integer, got {raw!r}") from None
 
 
-def load_run_config(path, overrides: dict) -> dict:
+def _read_json(path, what: str):
+    """The parsed JSON file at `path`; `what` names it in the UsageError
+    raised when it cannot be read or is not valid JSON."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as e:
-        raise UsageError(f"cannot read config {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config {path} is not valid JSON: {e}")
+        raise UsageError(f"cannot read {what} {path}: {e}") from None
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"{what} {path} is not valid JSON: {e}") from None
+
+
+def load_run_config(path, overrides: dict) -> dict:
+    raw = _read_json(path, "config")
     problems = []
     known_top = {"model", "train", "data", "out_dir"}
     for key in raw:
@@ -106,15 +114,26 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _load_dataset(data_dir):
+    if data_dir is None:
+        raise UsageError("no data directory: set data.dir in the config or pass --data")
     d = Path(data_dir)
     if not d.is_dir():
         raise UsageError(f"data directory {d} does not exist")
-    schema = schema_from_json((d / "schema.json").read_text())
+    schema = schema_from_dict(_read_json(d / "schema.json", "schema"))
     series, _ = read_csv(d / "data.csv", schema)
-    manifest = json.loads((d / "manifest.json").read_text()) if (d / "manifest.json").exists() else {}
-    labels = json.loads((d / "labels.json").read_text()) if (d / "labels.json").exists() else None
-    targets = json.loads((d / "targets.json").read_text()) if (d / "targets.json").exists() else None
+    manifest = _read_json(d / "manifest.json", "manifest") if (d / "manifest.json").exists() else {}
+    labels = _read_json(d / "labels.json", "labels") if (d / "labels.json").exists() else None
+    targets = _read_json(d / "targets.json", "targets") if (d / "targets.json").exists() else None
     return schema, series, manifest, labels, targets
+
+
+def _check_entities(table: dict, path: Path, series) -> None:
+    """Raise a UsageError naming `path` and the first entity of `series`
+    that has no entry in `table`."""
+    lacking = [s.entity_id for s in series if s.entity_id not in table]
+    if lacking:
+        raise UsageError(f"{path} has no entry for entity {lacking[0]!r} "
+                         f"({len(lacking)} of {len(series)} entities lack one)")
 
 
 def _load_task(cfg: dict):
@@ -122,8 +141,8 @@ def _load_task(cfg: dict):
     split it by the fine-tuning protocol of its generator kind: randomly
     split sliding windows (non-overlapping by stride) with a regression
     target for pollution-like data, by-entity splits of last-t_max crops
-    with the entity churn label for multitype transactions. Returns
-    (model, train samples, test samples, task)."""
+    with the entity churn label for multitype transactions. The split seed
+    is the train seed. Returns (model, train samples, test samples, task)."""
     data_cfg = cfg["data"]
     ckpt_path = data_cfg.get("checkpoint")
     if not ckpt_path or not Path(ckpt_path).exists():
@@ -133,23 +152,25 @@ def _load_task(cfg: dict):
     model = load_checkpoint(ckpt_path, expanded).model
     t_max = model.config.t_max
     kind = manifest.get("kind", "multitype_transactions" if labels else "pollution_like")
-    split_seed = int(data_cfg.get("split_seed", cfg["train"].get("seed", 0)))
+    seed = int(cfg["train"].get("seed", 0))
     test_fraction = float(data_cfg.get("test_fraction", 0.25))
+    data_dir = Path(data_cfg.get("dir"))
     if kind == "pollution_like":
         if targets is None:
             raise UsageError("pollution-like fine-tuning needs targets.json next to data.csv")
-        t = int(data_cfg.get("window_t", 10))
-        stride = int(data_cfg.get("window_stride", 10))
-        if t > t_max:
-            raise UsageError(f"window_t={t} exceeds the model's t_max={t_max}")
-        split = split_by_entity(labeled_windows(encoded, targets, t, stride), test_fraction,
-                                split_seed)
+        if t_max < _WINDOW:
+            raise UsageError(f"pollution-like fine-tuning cuts {_WINDOW}-row windows; the "
+                             f"model's t_max={t_max} is shorter")
+        _check_entities(targets, data_dir / "targets.json", encoded)
+        split = split_by_entity(labeled_windows(encoded, targets, _WINDOW, _WINDOW),
+                                test_fraction, seed)
         return model, split.train, split.test, "regression"
     if labels is None:
         raise UsageError("binary fine-tuning needs labels.json next to data.csv")
+    _check_entities(labels, data_dir / "labels.json", encoded)
     for s in encoded:
         s.label = int(labels[s.entity_id])
-    split = split_by_entity(encoded, test_fraction, split_seed)
+    split = split_by_entity(encoded, test_fraction, seed)
     train = [last_crop(s, t_max) for s in split.train]
     test = [last_crop(s, t_max) for s in split.test]
     return model, train, test, "binary"

@@ -340,6 +340,7 @@ def write_manifest(path, series_list: list[TimeSeries], schema: Schema,
 # AR(1) latents with daily/annual seasonality, one site id, hourly stamps
 
 
+START_YEAR = 2021  # both generators' stamps start on Jan 1; years seen: it and the next
 POLLUTION_NUMERIC = ["temperature", "humidity", "wind_speed", "pressure", "radiation",
                      "gas_a", "gas_b", "gas_c", "particulate_a", "particulate_b"]
 
@@ -350,7 +351,6 @@ class PollutionConfig:
     rows_per_entity: int = 1000
     noise: float = 0.1
     q_bins: int = 100
-    start_year: int = 2021
     coupling: float = 0.6  # weight of the shared regional latent in every field
 
 
@@ -389,7 +389,7 @@ def gen_pollution_like(config: PollutionConfig, seed: int) -> PollutionDataset:
     year_amp = param_rng.uniform(0.1, 0.5, size=n_attr)
     year_phase = param_rng.uniform(0, 2 * np.pi, size=n_attr)
 
-    start = datetime(config.start_year, 1, 1)
+    start = datetime(START_YEAR, 1, 1)
     series = []
     row_targets: dict[str, np.ndarray] = {}
     all_vals: dict[str, list[float]] = {n: [] for n in POLLUTION_NUMERIC}
@@ -437,8 +437,8 @@ def gen_pollution_like(config: PollutionConfig, seed: int) -> PollutionDataset:
         arr = all_vals[name]
         attrs[name] = AttributeSpec(name, NUMERICAL, bin_edges=fit_bins(arr, config.q_bins),
                                     value_range=(float(min(arr)), float(max(arr))))
-    years = sorted({config.start_year + y for y in range(2)})
-    attrs["timestamp"] = AttributeSpec("timestamp", TIMESTAMP, years=years, with_hour=True)
+    attrs["timestamp"] = AttributeSpec("timestamp", TIMESTAMP,
+                                       years=[START_YEAR, START_YEAR + 1], with_hour=True)
     row_type = RowTypeSpec(1, ["site"] + POLLUTION_NUMERIC + ["timestamp"])
     schema = Schema(attrs, [row_type])
     return PollutionDataset(series, schema, row_targets, config)
@@ -467,15 +467,14 @@ class MultitypeConfig:
     mean_len: int = 100
     churn_rate: float = 0.15
     q_bins: int = 100
-    start_year: int = 2021
-    rule_sharpness: float = 4.0
 
 
 CHURN_RULE = {
     "window": 30,
     "weights": {"atm_fraction": 3.0, "pos_fraction": -2.0,
                 "balance_slope_tanh": -1.5, "log_amount_mean": 0.8},
-    "note": "z-score weighted sum, sigmoid(sharpness * (z - z0)), z0 calibrated to churn_rate",
+    "sharpness": 4.0,
+    "note": "z = weighted feature sum; P(churn) = sigmoid(sharpness * (z - z0)), mean P = churn_rate",
 }
 
 
@@ -488,13 +487,14 @@ class MultitypeDataset:
     rule: dict = field(default_factory=lambda: dict(CHURN_RULE))
 
 
-def _churn_score(rows: list[Row], amount_pos: int = 1, balance_pos: int = 2) -> float:
+def _churn_score(rows: list[Row]) -> float:
     recent = rows[-CHURN_RULE["window"]:]
     types = np.array([r.type_id for r in recent])
     atm_frac = float(np.mean(types == 3))
     pos_frac = float(np.mean(types == 2))
-    amounts = np.array([r.values[amount_pos].value for r in recent])
-    balances = np.array([r.values[balance_pos].value for r in recent])
+    # every row type starts with the generic fields timestamp, amount, balance
+    amounts = np.array([r.values[1].value for r in recent])
+    balances = np.array([r.values[2].value for r in recent])
     slope = (balances[-1] - balances[0]) / len(recent)
     w = CHURN_RULE["weights"]
     return (w["atm_fraction"] * atm_frac + w["pos_fraction"] * pos_frac
@@ -509,7 +509,7 @@ def gen_multitype_transactions(config: MultitypeConfig, seed: int) -> MultitypeD
     categories = ["groceries", "rent", "salary", "utilities", "transport", "leisure", "health", "other"]
     terminals = ["chip", "swipe", "online"]
     directions = ["debit", "credit"]
-    start = datetime(config.start_year, 1, 1)
+    start = datetime(START_YEAR, 1, 1)
 
     series = []
     num_vals: dict[str, list[float]] = {"amount": [], "balance": [], "fee": []}
@@ -555,13 +555,13 @@ def gen_multitype_transactions(config: MultitypeConfig, seed: int) -> MultitypeD
         lo, hi = float(scores_arr.min()) - 10.0, float(scores_arr.max()) + 10.0
         for _ in range(80):  # bisect the intercept so mean(p) matches churn_rate
             z0 = 0.5 * (lo + hi)
-            p = 1.0 / (1.0 + np.exp(-config.rule_sharpness * (scores_arr - z0)))
+            p = 1.0 / (1.0 + np.exp(-CHURN_RULE["sharpness"] * (scores_arr - z0)))
             if p.mean() > config.churn_rate:
                 lo = z0
             else:
                 hi = z0
         z0 = 0.5 * (lo + hi)
-        p = 1.0 / (1.0 + np.exp(-config.rule_sharpness * (scores_arr - z0)))
+        p = 1.0 / (1.0 + np.exp(-CHURN_RULE["sharpness"] * (scores_arr - z0)))
         lrng = _entity_rng(seed, 2_000_000)
         draws = lrng.random(len(series))
         for s, pi, u in zip(series, p, draws):
@@ -572,7 +572,7 @@ def gen_multitype_transactions(config: MultitypeConfig, seed: int) -> MultitypeD
 
     attrs = {
         "timestamp": AttributeSpec("timestamp", TIMESTAMP,
-                                   years=[config.start_year, config.start_year + 1], with_hour=False),
+                                   years=[START_YEAR, START_YEAR + 1], with_hour=False),
         "amount": AttributeSpec("amount", NUMERICAL, bin_edges=fit_bins(num_vals["amount"], config.q_bins),
                                 value_range=(min(num_vals["amount"]), max(num_vals["amount"]))),
         "balance": AttributeSpec("balance", NUMERICAL, bin_edges=fit_bins(num_vals["balance"], config.q_bins),

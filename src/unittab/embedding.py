@@ -77,14 +77,15 @@ _DAY_VOCAB = [f"{i:02d}" for i in range(1, 32)]
 _HOUR_VOCAB = [f"{i:02d}" for i in range(24)]
 
 
-def split_timestamp(ts: Time, years: list[int], with_hour: bool = False) -> list[Cat]:
+def split_timestamp(ts: Time, years: list[int], with_hour: bool = False) -> list:
     """Decompose a timestamp into zero-based categorical subfield values:
     year (vocabulary = observed training years + OOV), month, day, and hour
-    when the schema carries hours."""
+    when the schema carries hours. A date-only stamp's hour is Missing, so
+    it is never confused with midnight."""
     year_idx = years.index(ts.year) if ts.year in years else len(years)
     out = [Cat(year_idx), Cat(ts.month - 1), Cat(ts.day - 1)]
     if with_hour:
-        out.append(Cat(ts.hour if ts.hour is not None else 0))
+        out.append(Missing if ts.hour is None else Cat(ts.hour))
     return out
 
 
@@ -138,8 +139,8 @@ class EncodedRow:
 
 class _TimeCodes(dict):
     """Maps each distinct timestamp value of one attribute to its row in
-    `table`, which holds its subfield ids from split_timestamp; Missing
-    maps to row 0 (all -1)."""
+    `table`, which holds its subfield ids from split_timestamp, -1 where a
+    subfield is Missing; Missing maps to row 0 (all -1)."""
 
     def __init__(self, spec: AttributeSpec):
         super().__init__()
@@ -149,8 +150,9 @@ class _TimeCodes(dict):
 
     def __missing__(self, ts):
         code = self[ts] = len(self.table)
-        self.table.append(tuple(c.index for c in split_timestamp(ts, self.spec.years,
-                                                                self.spec.with_hour)))
+        self.table.append(tuple(-1 if c is Missing else c.index
+                                for c in split_timestamp(ts, self.spec.years,
+                                                         self.spec.with_hour)))
         return code
 
 
@@ -168,16 +170,16 @@ def _encode_rows(rows: list[Row], rt: RowTypeSpec, raw_schema: Schema, k: int,
     s = 0
     for name, col in zip(rt.attributes, zip(*values)):
         spec = raw_schema.attributes[name]
-        kinds = set(map(type, col))
         if spec.kind == TIMESTAMP:
             codes = time_codes[name]
-            rows_of = [codes[v] for v in col]
-            width = len(codes.table[0])
-            ids[:, s:s + width] = np.array(codes.table, dtype=np.int64)[rows_of]
-            if type(Missing) in kinds:
-                miss[:, s:s + width] = np.array([v is Missing for v in col])[:, None]
+            rows_of = [codes[v] for v in col]  # fills codes.table first
+            block = np.array(codes.table, dtype=np.int64)[rows_of]
+            width = block.shape[1]
+            ids[:, s:s + width] = block
+            miss[:, s:s + width] = block < 0
             s += width
             continue
+        kinds = set(map(type, col))
         if kinds - {Cat, Num, type(Missing)}:
             raise SchemaError(f"row contains unexpanded timestamp at field {name!r}")
         if type(Missing) in kinds:

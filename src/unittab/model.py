@@ -25,6 +25,9 @@ from .tensor import (
 )
 
 
+FF_MULTIPLIER = 4  # feed-forward width over model width, in every encoder layer
+
+
 class ModelError(Exception):
     pass
 
@@ -41,7 +44,6 @@ class ModelConfig:
     field_heads: int = 4
     seq_layers: int = 2
     seq_heads: int = 4
-    ff_multiplier: int = 4
     dropout: float = 0.1
     freq_count: int = 8            # L sin/cos frequency pairs
     t_max: int = 10
@@ -202,7 +204,7 @@ class Model:
         return t
 
     def _init_encoder(self, prefix: str, width: int, layers: int, rng) -> None:
-        ff = self.config.ff_multiplier * width
+        ff = FF_MULTIPLIER * width
         for i in range(layers):
             p = f"{prefix}.{i}"
             for part in ("wq", "wk", "wv", "wo"):
@@ -246,12 +248,12 @@ class Model:
             p.grad = None
 
     @contextlib.contextmanager
-    def frozen(self, names):
-        """Clear `requires_grad` on the named parameters for the body and
-        restore each flag on exit, also when the body raises. An op none of
-        whose inputs needs a gradient keeps no backward closure, so a forward
-        pass under `frozen(self.params)` builds no tape at all."""
-        saved = [(p, p.requires_grad) for p in (self.params[k] for k in names)]
+    def frozen(self):
+        """Clear `requires_grad` on every parameter for the body and restore
+        each flag on exit, also when the body raises. An op none of whose
+        inputs needs a gradient keeps no backward closure, so a forward pass
+        in the body builds no tape at all."""
+        saved = [(p, p.requires_grad) for p in self.params.values()]
         for p, _ in saved:
             p.requires_grad = False
         try:
@@ -448,8 +450,8 @@ class Model:
 # parameter accounting
 
 
-def _encoder_param_count(width: int, layers: int, ff_mult: int) -> int:
-    ff = ff_mult * width
+def _encoder_param_count(width: int, layers: int) -> int:
+    ff = FF_MULTIPLIER * width
     per = 4 * width * width + 3 * width        # q, k, v, o (no key bias)
     per += 2 * 2 * width                       # two layer norms
     per += width * ff + ff + ff * width + width  # feed-forward
@@ -469,11 +471,11 @@ def expected_param_count(config: ModelConfig, schema: Schema) -> int:
         else:
             total += spec.n_bins * d
     total += d + d + m                          # [MASK], [MISSING], sequence [CLS]
-    total += _encoder_param_count(d, config.field_layers, config.ff_multiplier)
+    total += _encoder_param_count(d, config.field_layers)
     for rt in schema.row_types:
         total += 2 * m * d * rt.arity           # W_h and S_h
     total += (config.t_max + 1) * m
-    total += _encoder_param_count(m, config.seq_layers, config.ff_multiplier)
+    total += _encoder_param_count(m, config.seq_layers)
     for name in sorted(schema.attributes):
         spec = schema.attributes[name]
         out = 1 if (spec.kind == NUMERICAL and config.numeric_target == "scalar") \

@@ -301,12 +301,11 @@ def fit_bins(values, q: int) -> list[float]:
     return [float(e) for e in edges]
 
 
-def fit_vocab(values, min_count: int = 1) -> list[str]:
-    """Vocabulary of categories seen >= min_count times, ordered by
-    descending count then lexicographically, with an OOV slot appended."""
+def fit_vocab(values) -> list[str]:
+    """Vocabulary of every category seen, ordered by descending count then
+    lexicographically, with an OOV slot appended."""
     counts = Counter(str(v) for v in values)
-    kept = sorted((c for c in counts if counts[c] >= min_count), key=lambda c: (-counts[c], c))
-    return kept + [OOV]
+    return sorted(counts, key=lambda c: (-counts[c], c)) + [OOV]
 
 
 def vocab_index(spec: AttributeSpec, value: str) -> int:

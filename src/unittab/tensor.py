@@ -389,16 +389,13 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return _make(data, (table,), bw)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(data, (a,), bw)
 

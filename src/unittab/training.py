@@ -42,6 +42,9 @@ from .tensor import (
 )
 
 
+REGRESSION_WEIGHT = 50.0  # MSE weight of scalar targets (numeric_target="scalar")
+
+
 class ConfigError(Exception):
     pass
 
@@ -56,7 +59,6 @@ class TrainConfig:
     p_r: float = 0.1                  # row masking probability
     epsilon: float = 0.1              # label smoothing mass
     neighborhood_radius: int = 5
-    regression_weight: float = 50.0   # MSE weight when numeric_target="scalar"
     lr: float = 5e-5
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
@@ -166,14 +168,15 @@ def regression_loss(preds: Tensor, targets: np.ndarray, ce_loss: Tensor,
 
 def pretrain_loss(out: PretrainOutput, cfg: TrainConfig) -> Tensor:
     """The masked-token objective the model's numeric head implies: cross
-    entropy over class and bin targets, plus the weighted MSE term over
-    scalar targets, which only a numeric_target="scalar" model emits."""
+    entropy over class and bin targets, plus REGRESSION_WEIGHT times the MSE
+    over scalar targets, which only a numeric_target="scalar" model emits.
+    `cfg` is unread; perfbench still passes it."""
     ce = masked_token_loss(out.cat_groups)
     if not out.reg_groups:
         return ce
     return regression_loss(concat([p for _, p, _ in out.reg_groups], axis=0),
                            np.concatenate([t for _, _, t in out.reg_groups]), ce,
-                           cfg.regression_weight)
+                           REGRESSION_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def predict(model: Model, samples, task: str, batch_size: int = 64):
     earliest failing batch is raised."""
     batches = list(_batched(samples, batch_size))
     scores = []
-    with model.frozen(model.params):
+    with model.frozen():
         for lo in range(0, len(batches), 2):
             first, *rest = batches[lo:lo + 2]
             with lane(1 + len(rest)) as held:
@@ -435,11 +438,12 @@ class FinetuneResult:
 
 
 def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainConfig,
-             freeze_backbone: bool = False, metrics_path=None) -> FinetuneResult:
+             metrics_path=None) -> FinetuneResult:
     """Supervised fine-tuning through a [CLS] head: MSE for regression,
     cross entropy for binary classification with the positives upsampled
-    to balance. The backbone trains end-to-end unless frozen. Both splits
-    are checked before the task head is added or any step is taken."""
+    to balance. Every parameter trains, the backbone's included. Both
+    splits are checked before the task head is added or any step is
+    taken."""
     cfg.validate()
     if task not in ("regression", "binary"):
         raise ConfigError(f"unknown task {task!r}")
@@ -467,10 +471,7 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
         # afterwards so the checkpointed model predicts raw scale
         label_mu = float(labels.mean())
         label_sd = float(labels.std()) or 1.0
-    trainable = {k: p for k, p in model.params.items()
-                 if not freeze_backbone or k.startswith("finetune.")}
-    frozen = [k for k in model.params if k not in trainable]
-    opt = AdamW(trainable, lr=cfg.lr, betas=cfg.betas,
+    opt = AdamW(model.params, lr=cfg.lr, betas=cfg.betas,
                 weight_decay=cfg.weight_decay, no_decay=model.no_decay)
 
     def step(chunk):
@@ -480,9 +481,8 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
             return mean(diff * diff)
         return cross_entropy_soft(out, np.eye(2)[labels[chunk].astype(np.int64)])
 
-    with model.frozen(frozen):  # a frozen backbone records no tape and gets no grads
-        losses = _train_loop(step, len(train_samples), model, opt, cfg, rng, "finetune",
-                             metrics_path)
+    losses = _train_loop(step, len(train_samples), model, opt, cfg, rng, "finetune",
+                         metrics_path)
     if task == "regression" and (label_mu != 0.0 or label_sd != 1.0):
         model.params["finetune.w2"].data *= label_sd
         model.params["finetune.b2"].data = model.params["finetune.b2"].data * label_sd + label_mu

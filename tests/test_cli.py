@@ -80,8 +80,7 @@ def pipeline(tmp_path_factory):
         "model": {"d": 8, "m": 16, "field_layers": 1, "field_heads": 2, "seq_layers": 1,
                   "seq_heads": 2, "freq_count": 3, "t_max": 10, "dropout": 0.0},
         "train": {"seed": 5, "epochs": 50, "batch_size": 8, "lr": 1e-3, "max_steps": 20},
-        "data": {"dir": str(data), "window_t": 10, "window_stride": 10,
-                 "test_fraction": 0.34},
+        "data": {"dir": str(data), "test_fraction": 0.34},
         "out_dir": str(root / "pre"),
     }
     cfg_path = root / "config.json"
@@ -136,17 +135,33 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run_cli("pretrain", "--config", str(cfg_path)) == 2
 
 
-@pytest.mark.parametrize("key,value", [("mask_variant", "bert_80_10_10"),
-                                       ("timestamp_joint", False)])
-def test_removed_masking_key_in_run_config_exits_2(key, value, tmp_path, capsys):
-    # masking has one path: the keys that chose another are unknown keys now
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "mask_variant", "bert_80_10_10"),
+    ("train", "timestamp_joint", False),
+    ("model", "ff_multiplier", 4),
+    ("train", "regression_weight", 50.0),
+    ("data", "split_seed", 1),
+    ("data", "window_t", 10),
+    ("data", "window_stride", 10),
+])
+def test_removed_key_in_run_config_exits_2(section, key, value, tmp_path, capsys):
+    # options that became constants are unknown keys now
+    cfg = {"train": {"seed": 1}, "out_dir": str(tmp_path / "run")}
+    cfg.setdefault(section, {})[key] = value
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"train": {"seed": 1, key: value},
-                                    "out_dir": str(tmp_path / "run")}))
+    cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert run_cli("pretrain", "--config", str(cfg_path)) == 2
-    _one_line_error(capsys, f"unknown train config key {key!r}")
+    _one_line_error(capsys, f"unknown {section} config key {key!r}")
     assert not (tmp_path / "run").exists()
+
+
+def test_run_config_without_data_dir_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "run")}))
+    capsys.readouterr()
+    assert run_cli("pretrain", "--config", str(cfg_path)) == 2
+    _one_line_error(capsys, "no data directory", "--data")
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
@@ -241,6 +256,37 @@ def test_eval_empty_test_split_exits_2(fixture, checkpoint, message, request, tm
     capsys.readouterr()
     assert run_cli("eval", "--config", str(empty), "--checkpoint", str(root / checkpoint)) == 2
     _one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize("fixture, name, damage", [
+    ("pipeline", "schema.json", "truncate"),
+    ("pipeline", "manifest.json", "truncate"),
+    ("pipeline", "targets.json", "truncate"),
+    ("multitype_pretrained", "labels.json", "truncate"),
+    ("pipeline", "targets.json", "drop_entity"),
+    ("multitype_pretrained", "labels.json", "drop_entity"),
+])
+def test_bad_dataset_file_exits_2_naming_it(fixture, name, damage, request, tmp_path, capsys):
+    """A dataset file that is not JSON, or a labels or targets file with no
+    entry for an entity, is one error line naming the file (and entity)."""
+    root, cfg_path = request.getfixturevalue(fixture)[:2]
+    data = tmp_path / "data"
+    shutil.copytree(json.loads(cfg_path.read_text())["data"]["dir"], data)
+    path = data / name
+    if damage == "truncate":
+        path.write_text(path.read_text()[:-2])
+        words = "not valid JSON"
+    else:
+        table = json.loads(path.read_text())
+        entity = min(table)
+        del table[entity]
+        path.write_text(json.dumps(table))
+        words = f"no entry for entity {entity!r}"
+    capsys.readouterr()
+    assert run_cli("finetune", "--config", str(cfg_path), "--data", str(data),
+                   "--checkpoint", str(root / "pre" / "model.ckpt"),
+                   "--out", str(tmp_path / "ft"), "--max-steps", "1") == 2
+    _one_line_error(capsys, str(path), words)
 
 
 def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained, capsys):

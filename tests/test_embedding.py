@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -12,8 +13,9 @@ from unittab.embedding import (
     EncodedRow, build_bank, clamp_count, embed_slot_batch, expand_schema, freq_encode,
     prepare_series, reset_clamp_count, split_timestamp,
 )
-from unittab.schema import Cat, Missing, Num, Time
+from unittab.schema import Cat, Missing, Num, Row, Schema, Time, TimeSeries
 from unittab.tensor import Tensor, matmul
+from unittab.training import TrainConfig, apply_masking
 from conftest import make_tiny_schema, make_tiny_series
 from test_ingest_golden import _ref_expand_series
 
@@ -117,6 +119,27 @@ def test_split_timestamp_zero_based():
 def test_split_timestamp_with_hour():
     out = split_timestamp(Time(2021, 3, 7, 13), years=[2021], with_hour=True)
     assert len(out) == 4 and out[3].index == 13
+
+
+def test_date_only_hour_is_missing_and_never_a_target():
+    """In an hourly schema a date-only stamp's hour is Missing: embedded as
+    [MISSING] and never predicted, while midnight's hour is a value."""
+    schema = make_tiny_schema()
+    hourly = dataclasses.replace(schema.attributes["timestamp"], with_hour=True)
+    schema = Schema({**schema.attributes, "timestamp": hourly}, schema.row_types)
+    assert split_timestamp(Time(2021, 3, 7), [2021], with_hour=True)[3] is Missing
+    rows = [Row(1, [Time(2021, 1, 1), Cat(0), Num(0.5)]),
+            Row(1, [Time(2021, 1, 1, 0), Cat(0), Num(0.5)])]
+    expanded, (series,) = prepare_series([TimeSeries("e0", rows)], schema)
+    hour = expanded.row_type(1).attributes.index("timestamp.hour")
+    date_only, midnight = series.rows
+    assert date_only.is_missing[hour] and date_only.cat_ids[hour] == -1
+    assert not midnight.is_missing[hour] and midnight.cat_ids[hour] == 0
+    masked = apply_masking(series, expanded, TrainConfig(p_f=1.0, p_r=0.0),
+                           np.random.default_rng(0))
+    assert all(masked.mask[0]) and all(masked.mask[1])
+    targets = {tuple(t) for t in masked.targets.tolist()}
+    assert (0, hour) not in targets and (1, hour) in targets
 
 
 def test_split_timestamp_unseen_year_maps_to_oov():

@@ -55,30 +55,20 @@ def _regression_split():
 
 
 FINETUNE_SETUPS = {
-    "binary_upsampled": ("binary", {}, {}),
-    "binary_frozen": ("binary", {"freeze_backbone": True}, {}),
-    "regression_max_steps": ("regression", {}, {"max_steps": 7}),
+    "binary_upsampled": ("binary", {}),
+    "regression_max_steps": ("regression", {"max_steps": 7}),
 }
 
 
 def run_finetune(name, metrics_path):
-    task, kwargs, train_kw = FINETUNE_SETUPS[name]
+    task, train_kw = FINETUNE_SETUPS[name]
     schema, train, test = _binary_split() if task == "binary" else _regression_split()
     model = _small_model(schema)
     cfg = TrainConfig(lr=3e-3, batch_size=4, epochs=2, seed=9, **train_kw)
-    return finetune(train, test, model, task, cfg, metrics_path=metrics_path, **kwargs)
+    return finetune(train, test, model, task, cfg, metrics_path=metrics_path)
 
 
 FINETUNE_GOLDEN = {
-    "binary_frozen": (
-        ["0x1.944508b44fec0p-1", "0x1.b7da49ee86574p-1", "0x1.86f7a9cf00b0bp-1",
-         "0x1.1c5a29a95dbb3p-1", "0x1.1b0298aab3779p-1", "0x1.240e9d76c9dfap-1",
-         "0x1.99f7e454f2157p-1", "0x1.a392bb4c01966p-1", "0x1.136bbfde7e575p-1",
-         "0x1.0ad7d61bad1f4p-1"],
-        {"accuracy": "0x1.9000000000000p+4", "average_precision": "0x1.5555555555555p-2",
-         "f1": "0x1.999999999999ap-2", "roc_auc": "0x1.5555555555555p-2"},
-        {"tp": 1, "fp": 3, "tn": 0, "fn": 0},
-    ),
     "binary_upsampled": (
         ["0x1.944508b44fec0p-1", "0x1.4df2232337746p-1", "0x1.b668be27f9b0ap-1",
          "0x1.db58c5ceeacd2p-1", "0x1.e28e79ae96b94p-1", "0x1.5b47be9747cebp-1",

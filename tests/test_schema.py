@@ -118,9 +118,8 @@ def test_fit_bins_quantile_balance():
 
 
 def test_fit_vocab_examples():
-    assert fit_vocab(["a", "b", "a"], 1) == ["a", "b", "OOV"]
-    assert fit_vocab(["a", "b", "a"], 2) == ["a", "OOV"]
-    spec = AttributeSpec("c", "categorical", vocab=fit_vocab(["a", "b", "a"], 1))
+    assert fit_vocab(["a", "b", "a"]) == ["a", "b", "OOV"]
+    spec = AttributeSpec("c", "categorical", vocab=fit_vocab(["a", "b", "a"]))
     assert vocab_index(spec, "z") == 2  # OOV slot
 
 

@@ -569,23 +569,6 @@ def test_finetune_over_long_sample_fails_before_training(split, tmp_path):
                                 LengthError, f"{split} sample 1 has 8 rows", tmp_path)
 
 
-def test_finetune_freeze_backbone_leaves_backbone_params():
-    expanded, encoded = labeled_encoded()
-    model = Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
-                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
-                  expanded, seed=0)
-    before = model.params["proj.W.1"].data.copy()
-    cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2, seed=3)
-    result = finetune(encoded[:6], encoded[6:], model, "binary", cfg, freeze_backbone=True)
-    assert len(result.losses) >= 1
-    assert np.array_equal(model.params["proj.W.1"].data, before)
-    # the frozen backbone took part in no backward pass
-    head = {k for k in model.params if k.startswith("finetune.")}
-    assert len(head) == 4
-    assert all((p.grad is not None) == (k in head) for k, p in model.params.items())
-    assert all(p.requires_grad for p in model.params.values())
-
-
 def test_predict_records_no_tape_and_restores_requires_grad():
     expanded, encoded = labeled_encoded()
     model = tiny_finetune_model(expanded)
@@ -617,7 +600,7 @@ def test_frozen_forward_has_no_backward():
     expanded, encoded = labeled_encoded()
     model = tiny_finetune_model(expanded)
     model.ensure_task_head("binary")
-    with model.frozen(model.params):
+    with model.frozen():
         out = model.finetune_forward(encoded, rng=np.random.default_rng(0), training=True)
         assert not any(p.requires_grad for p in model.params.values())
     assert out._backward_fn is None and out._parents == ()
@@ -643,7 +626,7 @@ def sequential_predict(model, samples, task, batch_size):
     """The one-lane reference: finetune_forward over the same slices, in
     order, under one frozen block."""
     scores = []
-    with model.frozen(model.params):
+    with model.frozen():
         for lo in range(0, len(samples), batch_size):
             out = model.finetune_forward(samples[lo:lo + batch_size], rng=None, training=False)
             scores.append(out.data if task == "regression"
@@ -852,12 +835,14 @@ def test_pretrain_abort_preserves_last_checkpoint(tmp_path):
 
 # sha256 of the whole file, recorded when pretrain still wrote the last step
 # a second time after the loop, re-recorded once under the OpenBLAS kernel
-# conftest.py pins, and once more when the train config lost `mask_variant`
-# and `timestamp_joint` (the earlier files with those two manifest keys
-# popped; the tensor payloads kept their bytes)
+# conftest.py pins, once more when the train config lost `mask_variant`
+# and `timestamp_joint`, and once more when `ff_multiplier` and
+# `regression_weight` left the model and train configs (each time the
+# earlier files with those manifest keys popped; the tensor payloads kept
+# their bytes)
 PRETRAIN_CHECKPOINT_SHA256 = {
-    4: "0bd47f6aeb4b707c8b427446094be694074249764b575b32f87f72702f977018",
-    5: "367210cf10464fc67aa78a230da1e43e7ba2b9dc464b83d522eeb760b58017a3",
+    4: "f1b8a08203440868e70b6f3dbfc9405fad1cacd1110646f88fe067942ed3a23c",
+    5: "af3aa66dc19de075950c3f05228a5861c3edec3429ee6bd75fb56cfb4f364464",
 }
 
 
@@ -891,6 +876,8 @@ def test_pretrain_writes_each_checkpoint_step_once(max_steps, saved_steps, tmp_p
     ("train", "loss_mode", "unified_ce"),
     ("train", "mask_variant", "pure"),
     ("train", "timestamp_joint", True),
+    ("model", "ff_multiplier", 4),
+    ("train", "regression_weight", 50.0),
 ])
 def test_checkpoint_unknown_config_key_is_named(which, key, value, tmp_path, monkeypatch):
     model, _ = small_pretrain_setup()
