@@ -7,14 +7,17 @@ UNITTAB_SEED overrides its required --seed flag. Unknown config keys and
 invalid train settings are errors, found before anything is written or
 read. Exit codes: 0 success, 1 verification failure, 2 usage, config or
 input error (a bad dataset, labels file or checkpoint: among them a JSON
-file that does not parse, and a labels or targets file with no entry for
-some entity), reported as one line on stderr that names the file.
+file that does not parse or is not a schema, a labels or targets file
+with no entry for some entity, a label other than 0 or 1, and a targets
+list that is short or holds a non-number), reported as one line on stderr
+that names the file (and the entity where there is one).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -119,7 +122,10 @@ def _load_dataset(data_dir):
     d = Path(data_dir)
     if not d.is_dir():
         raise UsageError(f"data directory {d} does not exist")
-    schema = schema_from_dict(_read_json(d / "schema.json", "schema"))
+    try:
+        schema = schema_from_dict(_read_json(d / "schema.json", "schema"))
+    except SchemaError as e:
+        raise UsageError(f"schema {d / 'schema.json'}: {e}") from None
     series, _ = read_csv(d / "data.csv", schema)
     manifest = _read_json(d / "manifest.json", "manifest") if (d / "manifest.json").exists() else {}
     labels = _read_json(d / "labels.json", "labels") if (d / "labels.json").exists() else None
@@ -134,6 +140,27 @@ def _check_entities(table: dict, path: Path, series) -> None:
     if lacking:
         raise UsageError(f"{path} has no entry for entity {lacking[0]!r} "
                          f"({len(lacking)} of {len(series)} entities lack one)")
+
+
+def _check_labels(labels: dict, path: Path, series) -> None:
+    """Raise a UsageError naming `path` and the first entity of `series`
+    whose label is not 0 or 1."""
+    bad = [s.entity_id for s in series if labels[s.entity_id] not in (0, 1)]
+    if bad:
+        raise UsageError(f"{path} must hold labels 0 or 1; {len(bad)} of {len(series)} "
+                         f"entities have another, first {labels[bad[0]]!r} for entity "
+                         f"{bad[0]!r}")
+
+
+def _check_targets(targets: dict, path: Path, series) -> None:
+    """Raise a UsageError naming `path` and the first entity of `series`
+    whose targets are not a finite number for each of its rows."""
+    for s in series:
+        row = targets[s.entity_id]
+        if not (isinstance(row, list) and len(row) >= len(s.rows)
+                and all(type(v) in (int, float) and math.isfinite(v) for v in row)):
+            raise UsageError(f"{path} must give entity {s.entity_id!r} a finite number "
+                             f"for each of its {len(s.rows)} rows")
 
 
 def _load_task(cfg: dict):
@@ -162,12 +189,14 @@ def _load_task(cfg: dict):
             raise UsageError(f"pollution-like fine-tuning cuts {_WINDOW}-row windows; the "
                              f"model's t_max={t_max} is shorter")
         _check_entities(targets, data_dir / "targets.json", encoded)
+        _check_targets(targets, data_dir / "targets.json", encoded)
         split = split_by_entity(labeled_windows(encoded, targets, _WINDOW, _WINDOW),
                                 test_fraction, seed)
         return model, split.train, split.test, "regression"
     if labels is None:
         raise UsageError("binary fine-tuning needs labels.json next to data.csv")
     _check_entities(labels, data_dir / "labels.json", encoded)
+    _check_labels(labels, data_dir / "labels.json", encoded)
     for s in encoded:
         s.label = int(labels[s.entity_id])
     split = split_by_entity(encoded, test_fraction, seed)

@@ -375,8 +375,19 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def schema_from_dict(d: dict) -> Schema:
+    """The Schema `schema_to_dict` gives as `d`; SchemaError when `d` is not
+    an object with an attribute object and a row type list of that form."""
+    if not (isinstance(d, dict) and isinstance(d.get("attributes"), dict)
+            and isinstance(d.get("row_types"), list)):
+        raise SchemaError('a schema is an object with an "attributes" object and a '
+                          '"row_types" list')
+    if not all(isinstance(rt, dict) and {"type_id", "attributes"} <= rt.keys()
+               for rt in d["row_types"]):
+        raise SchemaError('each row type is an object with "type_id" and "attributes"')
     attrs = {}
     for name, e in d["attributes"].items():
+        if not (isinstance(e, dict) and "kind" in e):
+            raise SchemaError(f'attribute {name!r} is not an object with a "kind"')
         attrs[name] = AttributeSpec(
             name=name,
             kind=e["kind"],

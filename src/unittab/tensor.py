@@ -15,13 +15,15 @@ Each encoder sublayer is one fused op with a hand-written backward:
 ``layer_norm(x + dropout(a))``). Each evaluates the numpy expressions of the
 chain of small ops it stands for in the same order and draws the same
 dropout shapes, so outputs and grads are bit-identical to that chain; its
-graph keeps only the arrays its backward reads, and it computes a grad only
-for an input that requires one. When no input requires a grad, a fused op
-keeps no backward buffers: ``attention`` frees q, k, v and the
-probabilities before its output projection, and ``feed_forward`` and
-``residual_layer_norm`` overwrite their intermediates in place (the same
-IEEE operations on the same operands, so the same bits). An inference
-forward therefore peaks lower than a training one.
+graph keeps only the arrays its backward reads. A fused op records all its
+grads or none: training passes inputs that all require a grad, inference
+(`Model.frozen`) inputs that need none, so each backward has one path for
+a grad check to cover; `_accum` drops a grad its input does not need. With
+no input requiring a grad, a fused op keeps no backward buffers:
+``attention`` frees q, k, v and the probabilities before its output
+projection, and ``feed_forward`` and ``residual_layer_norm`` overwrite
+their intermediates in place (the same IEEE operations on the same
+operands, so the same bits). An inference forward peaks lower.
 
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
@@ -306,15 +308,11 @@ def _matmul_rhs_grad(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> np.ndarra
 
 def _reductions(xd, w: Tensor, b: Tensor | None, g: np.ndarray) -> list:
     """The whole-batch part of the backward of the composed `matmul(x, w) + b`
-    (b may be None) for upstream g: [(tensor, grad)] for b, then w, where
-    each requires a grad. w's grad is one product with inner dimension B*T;
-    `xd` (x's data) is read only for it."""
-    grads = []
-    if b is not None and b.requires_grad:
-        grads.append((b, _unbroadcast(g, b.shape)))
-    if w.requires_grad:
-        grads.append((w, _matmul_rhs_grad(xd, w.data, g)))
-    return grads
+    (b may be None) for upstream g: [(tensor, grad)] for b, then w. w's grad
+    is one product with inner dimension B*T; `xd` (x's data) is read only
+    for it."""
+    grads = [] if b is None else [(b, _unbroadcast(g, b.shape))]
+    return grads + [(w, _matmul_rhs_grad(xd, w.data, g))]
 
 
 def _input_grad(w: Tensor, g: np.ndarray) -> np.ndarray:
@@ -533,8 +531,8 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     Forward and backward evaluate the same numpy expressions in the same
     order as the composed ops (matmul, add, reshape, transpose, mul, softmax,
     dropout), so outputs and grads match them bit for bit; x receives the
-    v, k and q input grads in that order. Backward keeps only q, k, v, the
-    probabilities, the dropout mask and the context."""
+    v, k and q input grads in that order. Backward computes every grad from
+    q, k, v, the probabilities, the dropout mask and the context alone."""
     if x.ndim != 3 or x.shape[-1] % heads:
         raise ShapeError(f"attention expects (B, T, W) input with W divisible by {heads} "
                          f"heads, got shape {x.shape}")
@@ -543,11 +541,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     scale = 1.0 / np.sqrt(hd)
     xd = x.data
     per_row_mask = add_mask is not None and np.ndim(add_mask) == 4 and len(add_mask) == b
-    # which paths the composed ops would have recorded in this forward
-    need_q = x.requires_grad or wq.requires_grad or bq.requires_grad
-    need_k = x.requires_grad or wk.requires_grad
-    need_v = x.requires_grad or wv.requires_grad or bv.requires_grad
-    record = need_q or need_k or need_v or wo.requires_grad or bo.requires_grad
+    record = any(inp.requires_grad for inp in (x, wq, bq, wk, wv, bv, wo, bo))
 
     def probabilities(i):
         lo, hi = spans[i]
@@ -600,54 +594,41 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
 
     def bw(g):
         with lane(_rows(g), g.size) as held:
-            reduced, dctx = pair(
-                lambda: _reductions(ctx, wo, bo, g),
-                lambda: _input_grad(wo, g) if need_q or need_k or need_v else None, held)
+            reduced, dctx = pair(lambda: _reductions(ctx, wo, bo, g),
+                                 lambda: _input_grad(wo, g), held)
             _accum_all(reduced)
-            if dctx is None:
-                return
-            dvh = np.empty((b, heads, t, hd)) if need_v else None
-            dqh = np.empty((b, heads, t, hd)) if need_q else None
-            dkt = np.empty((b, heads, hd, t)) if need_k else None
+            dvh = np.empty((b, heads, t, hd))
+            dqh = np.empty((b, heads, t, hd))
+            dkt = np.empty((b, heads, hd, t))
 
             def rows(i):
                 lo, hi = spans[i]
                 qh, kt, vh, probs = parts[i]
                 dc = np.transpose(dctx[lo:hi].reshape((hi - lo, t, heads, hd)), (0, 2, 1, 3))
                 scale_keep = None if keep is None else keep[lo:hi] / (1.0 - p)
-                if need_v:
-                    dropped = probs if scale_keep is None else probs * scale_keep
-                    np.matmul(np.swapaxes(dropped, -1, -2), dc, out=dvh[lo:hi])
-                if need_q or need_k:
-                    ds = dc @ np.swapaxes(vh, -1, -2)
-                    if scale_keep is not None:
-                        ds *= scale_keep
-                    dot = (ds * probs).sum(axis=-1, keepdims=True)
-                    ds -= dot
-                    ds *= probs
-                    ds *= scale
-                    if need_q:
-                        np.matmul(ds, np.swapaxes(kt, -1, -2), out=dqh[lo:hi])
-                    if need_k:
-                        np.matmul(np.swapaxes(qh, -1, -2), ds, out=dkt[lo:hi])
+                dropped = probs if scale_keep is None else probs * scale_keep
+                np.matmul(np.swapaxes(dropped, -1, -2), dc, out=dvh[lo:hi])
+                ds = dc @ np.swapaxes(vh, -1, -2)
+                if scale_keep is not None:
+                    ds *= scale_keep
+                dot = (ds * probs).sum(axis=-1, keepdims=True)
+                ds -= dot
+                ds *= probs
+                ds *= scale
+                np.matmul(ds, np.swapaxes(kt, -1, -2), out=dqh[lo:hi])
+                np.matmul(np.swapaxes(qh, -1, -2), ds, out=dkt[lo:hi])
 
             _each(rows, spans, held)
-            linears = []
-            if need_v:
-                linears.append((wv, bv, _merge_heads(dvh)))
-            if need_k:
-                linears.append((wk, None, _merge_heads(np.transpose(dkt, (0, 1, 3, 2)))))
-            if need_q:
-                linears.append((wq, bq, _merge_heads(dqh)))
+            linears = [(wv, bv, _merge_heads(dvh)),
+                       (wk, None, _merge_heads(np.transpose(dkt, (0, 1, 3, 2)))),
+                       (wq, bq, _merge_heads(dqh))]
             del dvh, dqh, dkt
             reduced, dxs = pair(
                 lambda: [_reductions(xd, wl, bl, gl) for wl, bl, gl in linears],
-                lambda: [_input_grad(wl, gl) if x.requires_grad else None
-                         for wl, _, gl in linears], held)
+                lambda: [_input_grad(wl, gl) for wl, _, gl in linears], held)
             for grads, dx in zip(reduced, dxs):
                 _accum_all(grads)
-                if dx is not None:
-                    _accum(x, dx)
+                _accum(x, dx)
 
     return _make(out, (x, wq, bq, wk, wv, bv, wo, bo), bw)
 
@@ -664,12 +645,11 @@ def _merge_heads(gh: np.ndarray) -> np.ndarray:
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Position-wise `gelu(x @ w1 + b1) @ w2 + b2` with the exact (erf-based)
     GELU, as one op. Bit for bit the composed matmul, add, gelu, matmul,
-    add; backward keeps the pre-activation u and the normal CDF phi, and
-    rebuilds the activation u * phi. With no input requiring a grad, the
+    add; backward computes every grad from the pre-activation u and the
+    normal CDF phi, rebuilding the activation u * phi. Unrecorded, the
     activation overwrites phi and u is freed before the second product."""
     xd = x.data
-    need_u = x.requires_grad or w1.requires_grad or b1.requires_grad
-    record = need_u or w2.requires_grad or b2.requires_grad
+    record = any(inp.requires_grad for inp in (x, w1, b1, w2, b2))
 
     def rows(i):
         lo, hi = spans[i]
@@ -698,18 +678,13 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     def bw(g):
         with lane(_rows(g), g.size) as held:
             def reductions():
-                act = None
-                if w2.requires_grad:
-                    act = np.empty(g.shape[:-1] + w2.shape[:1])
-                    for (lo, hi), (u, phi) in zip(spans, parts):
-                        np.multiply(u, phi, out=act[lo:hi])
+                act = np.empty(g.shape[:-1] + w2.shape[:1])
+                for (lo, hi), (u, phi) in zip(spans, parts):
+                    np.multiply(u, phi, out=act[lo:hi])
                 return _reductions(act, w2, b2, g)
 
-            reduced, dact = pair(reductions, lambda: _input_grad(w2, g) if need_u else None,
-                                 held)
+            reduced, dact = pair(reductions, lambda: _input_grad(w2, g), held)
             _accum_all(reduced)
-            if dact is None:
-                return
 
             def rows(i):  # dact becomes du in place
                 lo, hi = spans[i]
@@ -719,10 +694,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
             _each(rows, spans, held)
             reduced, dx = pair(lambda: _reductions(xd, w1, b1, dact),
-                               lambda: _input_grad(w1, dact) if x.requires_grad else None, held)
+                               lambda: _input_grad(w1, dact), held)
             _accum_all(reduced)
-            if dx is not None:
-                _accum(x, dx)
+            _accum(x, dx)
 
     return _make(out, (x, w1, b1, w2, b2), bw)
 
@@ -733,9 +707,9 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     dropout at rate p on the branch a (none unless training), then the last
     axis normalized to zero mean and unit variance (1e-5 added to the
     variance) and the affine gamma, beta. Bit for bit the composed dropout,
-    add and layer norm; x receives its grad before a. Backward keeps the
-    normalized values, the inverse deviation and the dropout mask; with no
-    input requiring a grad, the affine overwrites the normalized values."""
+    add and layer norm; x receives its grad before a. Backward computes
+    every grad from the normalized values, the inverse deviation and the
+    dropout mask; unrecorded, the affine overwrites the normalized values."""
     d = x.shape[-1]
     if a.shape != x.shape:
         raise ShapeError(f"residual branch shape {a.shape} != input shape {x.shape}")
@@ -743,7 +717,7 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
         raise ShapeError(f"layer norm affine params must have shape ({d},)")
     keep = _dropout_keep(a.shape, p, rng, training)
     xd, ad = x.data, a.data
-    need_r = x.requires_grad or a.requires_grad
+    record = any(inp.requires_grad for inp in (x, a, gamma, beta))
     xhat = np.empty(xd.shape)
     np.add(xd, ad if keep is None else ad * (keep / (1.0 - p)), out=xhat)
     mu = xhat.mean(axis=-1, keepdims=True)
@@ -751,26 +725,20 @@ def residual_layer_norm(x: Tensor, a: Tensor, gamma: Tensor, beta: Tensor, p: fl
     inv = np.divide(1.0, np.sqrt(var + 1e-5))
     xhat -= mu
     xhat *= inv
-    # with no backward to read xhat, the affine overwrites it
-    out = np.empty(xd.shape) if need_r or gamma.requires_grad or beta.requires_grad else xhat
+    out = np.empty(xd.shape) if record else xhat
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=lead))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=lead))
-        if not need_r:
-            return
+        _accum(gamma, (g * xhat).sum(axis=lead))
+        _accum(beta, g.sum(axis=lead))
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dr = (dxhat - m1 - xhat * m2) * inv
         _accum(x, dr)
-        if a.requires_grad:
-            _accum(a, dr if keep is None else dr * (keep / (1.0 - p)))
+        _accum(a, dr if keep is None else dr * (keep / (1.0 - p)))
 
     return _make(out, (x, a, gamma, beta), bw)
 

@@ -197,9 +197,8 @@ class AdamW:
     size; when the worker lane is free (see `tensor.lane`), the second group
     is updated there."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 weight_decay: float = 0.01, no_decay: set[str] = frozenset()):
+    def __init__(self, params: dict[str, Tensor], lr: float, betas: tuple[float, float],
+                 weight_decay: float, no_decay: set[str]):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -385,24 +384,24 @@ def predict(model: Model, samples, task: str, batch_size: int = 64):
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
-def _check_binary_labels(samples, split: str) -> None:
-    """Raise LabelError unless every label of `samples` is 0 or 1; `split`
-    names the samples in the message."""
+def _check_binary_labels(samples, split: str, use: str, error) -> None:
+    """Raise LabelError unless every label of `samples` is 0 or 1, and
+    `error` unless both classes occur; `split` names the samples and `use`
+    what they are for in the messages."""
     bad = [s.label for s in samples if s.label not in (0, 1)]
     if bad:
         raise LabelError(f"binary tasks need labels 0 or 1; the {split} split has "
                          f"{len(bad)} other label(s), first {bad[0]!r}")
+    n_pos = sum(1 for s in samples if s.label == 1)
+    if n_pos in (0, len(samples)):
+        raise error(f"binary {use} needs both classes in the {split} split; it has "
+                    f"{n_pos} positive and {len(samples) - n_pos} negative samples")
 
 
 def _check_test_split(samples, task: str) -> None:
     """Raise unless `task`'s metrics are defined on the test `samples`."""
     if task == "binary":
-        _check_binary_labels(samples, "test")
-        n_pos = sum(1 for s in samples if s.label == 1)
-        if n_pos in (0, len(samples)):
-            raise UndefinedMetricError(
-                f"binary evaluation needs both classes in the test split; it has "
-                f"{n_pos} positive and {len(samples) - n_pos} negative samples")
+        _check_binary_labels(samples, "test", "evaluation", UndefinedMetricError)
     elif not samples:
         raise UndefinedMetricError("regression evaluation needs a nonempty test split")
 
@@ -452,7 +451,7 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
     if not train_samples:
         raise LabelError(f"{task} fine-tuning needs a nonempty training split")
     if task == "binary":
-        _check_binary_labels(train_samples, "training")
+        _check_binary_labels(train_samples, "training", "fine-tuning", LabelError)
     _check_test_split(test_samples, task)
     t_max = model.config.t_max
     for split, samples in (("training", train_samples), ("test", test_samples)):

@@ -258,6 +258,28 @@ def test_eval_empty_test_split_exits_2(fixture, checkpoint, message, request, tm
     _one_line_error(capsys, message)
 
 
+def _edit_entry(edit):
+    """A damage that replaces the first entity's entry of a labels or targets
+    table by `edit(entry)`."""
+    def damage(table):
+        entity = min(table)
+        table[entity] = edit(table[entity])
+        return table, [repr(entity)]
+    return damage
+
+
+def _drop_entity(table):
+    entity = min(table)
+    del table[entity]
+    return table, [f"no entry for entity {entity!r}"]
+
+
+def _drop_kind(schema):
+    name = min(schema["attributes"])
+    del schema["attributes"][name]["kind"]
+    return schema, [repr(name), '"kind"']
+
+
 @pytest.mark.parametrize("fixture, name, damage", [
     ("pipeline", "schema.json", "truncate"),
     ("pipeline", "manifest.json", "truncate"),
@@ -265,28 +287,65 @@ def test_eval_empty_test_split_exits_2(fixture, checkpoint, message, request, tm
     ("multitype_pretrained", "labels.json", "truncate"),
     ("pipeline", "targets.json", "drop_entity"),
     ("multitype_pretrained", "labels.json", "drop_entity"),
+    pytest.param("multitype_pretrained", "labels.json", _edit_entry(lambda label: "yes"),
+                 id="label_yes"),
+    pytest.param("multitype_pretrained", "labels.json", _edit_entry(lambda label: 0.5),
+                 id="label_half"),
+    pytest.param("pipeline", "targets.json", _edit_entry(lambda targets: targets[:5]),
+                 id="targets_short"),
+    pytest.param("pipeline", "targets.json",
+                 _edit_entry(lambda targets: targets[:-1] + ["high"]), id="target_not_a_number"),
+    pytest.param("pipeline", "schema.json", lambda schema: ({}, ['"attributes" object']),
+                 id="schema_empty_object"),
+    pytest.param("pipeline", "schema.json", lambda schema: ([], ['"row_types" list']),
+                 id="schema_list"),
+    pytest.param("pipeline", "schema.json", _drop_kind, id="schema_attribute_without_kind"),
 ])
 def test_bad_dataset_file_exits_2_naming_it(fixture, name, damage, request, tmp_path, capsys):
-    """A dataset file that is not JSON, or a labels or targets file with no
-    entry for an entity, is one error line naming the file (and entity)."""
+    """A dataset file that is not JSON, a schema file of another shape, a
+    labels or targets file with no entry for an entity, a label other than
+    0 or 1 (never truncated to one), or a targets list shorter than its
+    series or holding a non-number, is one error line naming the file (and
+    entity)."""
     root, cfg_path = request.getfixturevalue(fixture)[:2]
     data = tmp_path / "data"
     shutil.copytree(json.loads(cfg_path.read_text())["data"]["dir"], data)
     path = data / name
     if damage == "truncate":
         path.write_text(path.read_text()[:-2])
-        words = "not valid JSON"
+        words = ["not valid JSON"]
     else:
-        table = json.loads(path.read_text())
-        entity = min(table)
-        del table[entity]
-        path.write_text(json.dumps(table))
-        words = f"no entry for entity {entity!r}"
+        edit = _drop_entity if damage == "drop_entity" else damage
+        doc, words = edit(json.loads(path.read_text()))
+        path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("finetune", "--config", str(cfg_path), "--data", str(data),
                    "--checkpoint", str(root / "pre" / "model.ckpt"),
                    "--out", str(tmp_path / "ft"), "--max-steps", "1") == 2
-    _one_line_error(capsys, str(path), words)
+    _one_line_error(capsys, str(path), *words)
+
+
+def test_finetune_one_class_training_split_exits_2(tmp_path, capsys):
+    """This 6-entity churn set has one positive, and the default split (seed
+    0, test fraction 0.25) puts it in the test split."""
+    data = tmp_path / "mt"
+    assert run_cli("gen-data", "--kind", "multitype_transactions", "--entities", "6",
+                   "--mean-len", "40", "--seed", "1", "--out", str(data)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"d": 8, "m": 16, "field_layers": 1, "field_heads": 2, "seq_layers": 1,
+                  "seq_heads": 2, "freq_count": 2, "t_max": 12, "dropout": 0.0},
+        "train": {"batch_size": 4, "max_steps": 1},
+        "data": {"dir": str(data)},
+        "out_dir": str(tmp_path / "pre"),
+    }))
+    assert run_cli("pretrain", "--config", str(cfg_path)) == 0
+    capsys.readouterr()
+    assert run_cli("finetune", "--config", str(cfg_path),
+                   "--checkpoint", str(tmp_path / "pre" / "model.ckpt"),
+                   "--out", str(tmp_path / "ft")) == 2
+    _one_line_error(capsys, "both classes in the training split", "0 positive")
+    assert not (tmp_path / "ft" / "finetuned.ckpt").exists()
 
 
 def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained, capsys):

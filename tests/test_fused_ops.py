@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import unittab.model
 from unittab.data import PollutionConfig, gen_pollution_like, random_crop
 from unittab.embedding import prepare_series
 from unittab.model import Model, ModelConfig
@@ -19,7 +20,8 @@ from unittab.tensor import (
     GradTape, Tensor, _accum, _make, attention, feed_forward, gelu, matmul, reshape,
     residual_layer_norm, softmax, transpose,
 )
-from unittab.training import TrainConfig, apply_masking, pretrain_loss
+from unittab.training import TrainConfig, apply_masking, finetune, pretrain, pretrain_loss
+from test_training import labeled_encoded, small_pretrain_setup, tiny_finetune_model
 
 
 # -- the composed reference
@@ -245,3 +247,26 @@ def test_desk_pretrain_step_tape_op_count_pinned():
     batch = [apply_masking(random_crop(s, 10, rng), schema, cfg, rng) for s in encoded]
     loss = pretrain_loss(model.pretrain_forward(batch, rng, training=True), cfg)
     assert len(GradTape.trace(loss).ops) == 280
+
+
+def test_encoder_ops_get_inputs_that_all_require_a_grad_or_none(monkeypatch):
+    """Each fused op records all of its grads or none, which fits every
+    caller: a 2-step pretrain and a 2-step binary fine-tune, whose closing
+    evaluate runs predict under `Model.frozen`, pass each op inputs that
+    all require a grad or none do, and both kinds of call occur."""
+    calls = []
+    for op in REFERENCE:
+        def traced(*args, op=op, **kwargs):
+            tensors = [a for a in (*args, *kwargs.values()) if isinstance(a, Tensor)]
+            calls.append((op.__name__, frozenset(t.requires_grad for t in tensors)))
+            return op(*args, **kwargs)
+
+        monkeypatch.setattr(unittab.model, op.__name__, traced)
+    model, encoded = small_pretrain_setup()
+    assert pretrain(encoded, model, TrainConfig(p_f=0.5, batch_size=2, max_steps=2)).steps == 2
+    expanded, labeled = labeled_encoded()
+    finetune(labeled[:6], labeled[6:], tiny_finetune_model(expanded), "binary",
+             TrainConfig(batch_size=4, max_steps=2))
+    assert all(len(flags) == 1 for _, flags in calls)
+    assert set(calls) == {(op.__name__, frozenset({grad})) for op in REFERENCE
+                          for grad in (True, False)}

@@ -133,7 +133,7 @@ def test_adamw_on_two_lanes_matches_the_whole_array_update_bitwise(shapes, gradl
         rng = np.random.default_rng(seed)
         params = {f"p{i}": Tensor(rng.normal(size=s), requires_grad=True)
                   for i, s in enumerate(shapes)}
-        opt = AdamW(params, lr=1e-2, weight_decay=0.1, no_decay={"p1"})
+        opt = AdamW(params, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.1, no_decay={"p1"})
         ref = {k: Tensor(p.data) for k, p in params.items()}
         m = {k: np.zeros_like(p.data) for k, p in params.items()}
         v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -163,7 +163,7 @@ def test_adamw_nonfinite_grad_leaves_parameters_and_moments_untouched(monkeypatc
     use_cpus(monkeypatch, 2)
     rng = np.random.default_rng(3)
     params = {f"p{i}": Tensor(rng.normal(size=(4, 3)), requires_grad=True) for i in range(4)}
-    opt = AdamW(params, lr=1e-2)
+    opt = AdamW(params, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.01, no_decay=set())
     for p in params.values():
         p.grad = rng.normal(size=(4, 3))
     opt.step()

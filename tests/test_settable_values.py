@@ -85,10 +85,6 @@ SETTABLE = [
     "tensor.softmax(axis)",
     "tensor.sum_(axis)",
     "tensor.transpose(axes)",
-    "training.AdamW.__init__(betas)",
-    "training.AdamW.__init__(lr)",
-    "training.AdamW.__init__(no_decay)",
-    "training.AdamW.__init__(weight_decay)",
     "training._train_loop(checkpoint_path)",
     "training._train_loop(metrics_path)",
     "training.evaluate(batch_size)",

@@ -292,7 +292,7 @@ def test_regression_loss_mixed_recomputation():
 def test_adamw_pure_decay():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([0.0])
-    opt = AdamW({"w": p}, lr=1e-3, weight_decay=1e-2)
+    opt = AdamW({"w": p}, lr=1e-3, betas=(0.9, 0.999), weight_decay=1e-2, no_decay=set())
     opt.step()
     assert abs(p.data[0] - 0.99999) < 1e-12
 
@@ -300,7 +300,7 @@ def test_adamw_pure_decay():
 def test_adamw_first_step_is_signed_lr():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.5, -0.25])
-    opt = AdamW({"w": p}, lr=1e-3, weight_decay=0.0)
+    opt = AdamW({"w": p}, lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0, no_decay=set())
     opt.step()
     # one-step hand simulation: m-hat/sqrt(v-hat) = sign(g) up to eps
     assert np.allclose(p.data, [1.0 - 1e-3, -2.0 + 1e-3], atol=1e-8)
@@ -310,7 +310,7 @@ def test_adamw_deterministic():
     def run():
         rng = np.random.default_rng(7)
         p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        opt = AdamW({"w": p}, lr=1e-2)
+        opt = AdamW({"w": p}, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.01, no_decay=set())
         for _ in range(10):
             p.grad = rng.normal(size=(4, 3))
             opt.step()
@@ -324,7 +324,8 @@ def test_adamw_nonfinite_grad_aborts_before_mutation():
     q = Tensor(np.array([2.0]), requires_grad=True)
     p.grad = np.array([0.1])
     q.grad = np.array([np.inf])
-    opt = AdamW({"a": p, "b": q}, lr=1e-3)
+    opt = AdamW({"a": p, "b": q}, lr=1e-3, betas=(0.9, 0.999), weight_decay=0.01,
+                no_decay=set())
     with pytest.raises(NumericError):
         opt.step()
     assert p.data[0] == 1.0 and q.data[0] == 2.0
@@ -332,7 +333,7 @@ def test_adamw_nonfinite_grad_aborts_before_mutation():
 
 def test_adamw_skips_gradless_params():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"w": p}, lr=1e-3, weight_decay=1e-2)
+    opt = AdamW({"w": p}, lr=1e-3, betas=(0.9, 0.999), weight_decay=1e-2, no_decay=set())
     opt.step()
     assert p.data[0] == 1.0
 
@@ -340,7 +341,8 @@ def test_adamw_skips_gradless_params():
 def test_adamw_excludes_no_decay_names():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([0.0])
-    opt = AdamW({"ln.gamma": p}, lr=1e-3, weight_decay=1e-2, no_decay={"ln.gamma"})
+    opt = AdamW({"ln.gamma": p}, lr=1e-3, betas=(0.9, 0.999), weight_decay=1e-2,
+                no_decay={"ln.gamma"})
     opt.step()
     assert p.data[0] == 1.0
 
@@ -446,7 +448,9 @@ def test_train_loop_frees_each_step_graph_before_the_next():
         refs.append(weakref.ref(loss))
         return loss
 
-    losses = _train_loop(step, len(encoded), model, AdamW(model.params), cfg, rng, "pretrain")
+    opt = AdamW(model.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay,
+                no_decay=model.no_decay)
+    losses = _train_loop(step, len(encoded), model, opt, cfg, rng, "pretrain")
     assert len(losses) == 4 and all(x > 0.0 for x in losses)
     assert alive_at_start == [0, 0, 0, 0]
 
@@ -509,6 +513,18 @@ def test_finetune_binary_bad_test_split_fails_before_training(test_labels, tmp_p
         s.label = y
     assert_finetune_fails_early(tiny_finetune_model(expanded), encoded[:6], test, "binary",
                                 UndefinedMetricError, "both classes", tmp_path)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_finetune_binary_one_class_training_split_fails_before_training(label, tmp_path):
+    expanded, encoded = labeled_encoded()
+    train, test = encoded[:6], encoded[6:]
+    for s in train:
+        s.label = label
+    model = tiny_finetune_model(expanded)
+    assert_finetune_fails_early(model, train, test, "binary", LabelError,
+                                "both classes in the training split", tmp_path)
+    assert not any(k.startswith("finetune.") for k in model.params)
 
 
 @pytest.mark.parametrize("task, n_train, n_test, error, message", [
