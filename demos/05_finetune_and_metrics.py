@@ -10,7 +10,7 @@ import numpy as np
 
 from unittab.data import (
     MultitypeConfig, PollutionConfig, gen_multitype_transactions,
-    gen_pollution_like, last_crop, split_by_entity,
+    gen_pollution_like, labeled_windows, last_crop, split_by_entity,
 )
 from unittab.embedding import prepare_series
 from unittab.metrics import format_report_table
@@ -21,16 +21,8 @@ print("== regression on pollution-like windows ==")
 ds = gen_pollution_like(PollutionConfig(n_entities=24, rows_per_entity=100,
                                         q_bins=16, noise=0.25, coupling=0.6), 100)
 expanded, encoded = prepare_series(ds.series, ds.schema)
-wins = []
-for s in encoded:
-    from unittab.data import window
-    for w in window(s, 10, 10):
-        w.label = float(ds.row_targets[s.entity_id][w.start + 9])
-        wins.append(w)
-rng = np.random.default_rng(0)
-order = rng.permutation(len(wins))
-test_w = [wins[i] for i in order[:len(wins) // 4]]
-train_w = [wins[i] for i in order[len(wins) // 4:]]
+windows = split_by_entity(labeled_windows(encoded, ds.row_targets, 10, 10), 0.25, 0)
+train_w, test_w = windows.train, windows.test
 print(f"{len(train_w)} train / {len(test_w)} test windows, "
       f"label std {np.std([w.label for w in train_w]):.2f}")
 

@@ -5,12 +5,14 @@ flag overrides beat the UNITTAB_SEED environment variable, which beats the
 config file. The one exception is gen-data, which has no config file:
 UNITTAB_SEED overrides its required --seed flag. Unknown config keys and
 invalid train settings are errors, found before anything is written or
-read. Exit codes: 0 success, 1 verification failure, 2 usage, config or
-input error (a bad dataset, labels file or checkpoint: among them a JSON
-file that does not parse or is not a schema, a labels or targets file
-with no entry for some entity, a label other than 0 or 1, and a targets
-list that is short or holds a non-number), reported as one line on stderr
-that names the file (and the entity where there is one).
+read; pretrain and finetune create their run directory only after every
+input has passed its checks. Exit codes: 0 success, 1 verification
+failure, 2 usage, config or input error (a bad dataset, labels file or
+checkpoint: among them a JSON file that does not parse or is not a
+schema, a labels or targets file with no entry for some entity, a label
+other than 0 or 1, and a targets list that is short or holds a
+non-number), reported as one line on stderr that names the file (and the
+entity where there is one).
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .embedding import prepare_series
 from .metrics import UndefinedMetricError, format_report_table
 from .model import Model, ModelConfig, ModelError
 from .schema import SchemaError, schema_from_dict
-from .training import ConfigError, LabelError, TrainConfig, evaluate, finetune, pretrain
-from .verify import run_suite
+from .training import (
+    ConfigError, LabelError, TrainConfig, check_finetune, evaluate, finetune, pretrain,
+)
+from .verify import check_model, check_primitives
 
 
 class UsageError(Exception):
@@ -169,34 +173,37 @@ def _load_task(cfg: dict):
     split sliding windows (non-overlapping by stride) with a regression
     target for pollution-like data, by-entity splits of last-t_max crops
     with the entity churn label for multitype transactions. The split seed
-    is the train seed. Returns (model, train samples, test samples, task)."""
+    is the train seed. Returns (model, train samples, test samples, task).
+    The labels or targets file is checked before the checkpoint is read."""
     data_cfg = cfg["data"]
     ckpt_path = data_cfg.get("checkpoint")
     if not ckpt_path or not Path(ckpt_path).exists():
         raise UsageError(f"checkpoint {ckpt_path!r} not found")
     schema, series, manifest, labels, targets = _load_dataset(data_cfg.get("dir"))
-    expanded, encoded = prepare_series(series, schema)
-    model = load_checkpoint(ckpt_path, expanded).model
-    t_max = model.config.t_max
     kind = manifest.get("kind", "multitype_transactions" if labels else "pollution_like")
-    seed = int(cfg["train"].get("seed", 0))
-    test_fraction = float(data_cfg.get("test_fraction", 0.25))
     data_dir = Path(data_cfg.get("dir"))
     if kind == "pollution_like":
         if targets is None:
             raise UsageError("pollution-like fine-tuning needs targets.json next to data.csv")
+        _check_entities(targets, data_dir / "targets.json", series)
+        _check_targets(targets, data_dir / "targets.json", series)
+    else:
+        if labels is None:
+            raise UsageError("binary fine-tuning needs labels.json next to data.csv")
+        _check_entities(labels, data_dir / "labels.json", series)
+        _check_labels(labels, data_dir / "labels.json", series)
+    expanded, encoded = prepare_series(series, schema)
+    model = load_checkpoint(ckpt_path, expanded).model
+    t_max = model.config.t_max
+    seed = int(cfg["train"].get("seed", 0))
+    test_fraction = float(data_cfg.get("test_fraction", 0.25))
+    if kind == "pollution_like":
         if t_max < _WINDOW:
             raise UsageError(f"pollution-like fine-tuning cuts {_WINDOW}-row windows; the "
                              f"model's t_max={t_max} is shorter")
-        _check_entities(targets, data_dir / "targets.json", encoded)
-        _check_targets(targets, data_dir / "targets.json", encoded)
         split = split_by_entity(labeled_windows(encoded, targets, _WINDOW, _WINDOW),
                                 test_fraction, seed)
         return model, split.train, split.test, "regression"
-    if labels is None:
-        raise UsageError("binary fine-tuning needs labels.json next to data.csv")
-    _check_entities(labels, data_dir / "labels.json", encoded)
-    _check_labels(labels, data_dir / "labels.json", encoded)
     for s in encoded:
         s.label = int(labels[s.entity_id])
     split = split_by_entity(encoded, test_fraction, seed)
@@ -244,13 +251,13 @@ def cmd_pretrain(args) -> int:
                                         "max_steps": args.max_steps, "out_dir": args.out,
                                         "dir": args.data})
     train_cfg = _train_config(cfg)
-    out = Path(cfg["out_dir"])
-    _write_resolved(cfg, out)
     schema, series, *_ = _load_dataset(cfg["data"].get("dir"))
     expanded, encoded = prepare_series(series, schema)
     model_cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **cfg["model"],
                                        "n_row_types": expanded.n_row_types})
     model = Model(model_cfg, expanded, seed=train_cfg.seed)
+    out = Path(cfg["out_dir"])
+    _write_resolved(cfg, out)
     result = pretrain(encoded, model, train_cfg,
                       metrics_path=out / "metrics.ndjson",
                       checkpoint_path=out / "model.ckpt")
@@ -267,9 +274,10 @@ def cmd_finetune(args) -> int:
                                         "max_steps": args.max_steps, "out_dir": args.out,
                                         "dir": args.data, "checkpoint": args.checkpoint})
     train_cfg = _train_config(cfg)
+    model, train, test, task = _load_task(cfg)
+    check_finetune(train, test, task, model.config.t_max)
     out = Path(cfg["out_dir"])
     _write_resolved(cfg, out)
-    model, train, test, task = _load_task(cfg)
     result = finetune(train, test, model, task, train_cfg,
                       metrics_path=out / "finetune_metrics.ndjson")
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
@@ -300,8 +308,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    results = run_suite(ops=args.op or None, inject_bug=args.inject_bug,
-                        trials=args.trials)
+    results = check_primitives(args.op, args.inject_bug, trials=args.trials)
+    if not args.op:
+        results.append(check_model())
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:

@@ -13,7 +13,7 @@ to per-attribute prediction heads at masked positions.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -163,7 +163,7 @@ class Model:
         if config.n_row_types != schema.n_row_types:
             raise ModelError(
                 f"config.n_row_types={config.n_row_types} but schema has {schema.n_row_types}")
-        self.config = config
+        self.config = replace(config)  # its own: ensure_task_head sets task_head
         self.schema = schema
         self.params: dict[str, Tensor] = {}
         self.no_decay: set[str] = set()

@@ -20,10 +20,10 @@ grads or none: training passes inputs that all require a grad, inference
 (`Model.frozen`) inputs that need none, so each backward has one path for
 a grad check to cover; `_accum` drops a grad its input does not need. With
 no input requiring a grad, a fused op keeps no backward buffers:
-``attention`` frees q, k, v and the probabilities before its output
-projection, and ``feed_forward`` and ``residual_layer_norm`` overwrite
-their intermediates in place (the same IEEE operations on the same
-operands, so the same bits). An inference forward peaks lower.
+``attention`` frees each intermediate of a half once it is used, and
+``feed_forward`` and ``residual_layer_norm`` overwrite theirs in place
+(the same IEEE operations on the same operands, so the same bits). An
+inference forward peaks lower.
 
 The graph is rebuilt on every forward pass (define-by-run); there is no
 caching. All operations are deterministic given identical inputs and PRNG
@@ -41,21 +41,19 @@ input of SPLIT_MIN elements or more with two or more rows on the leading
 (batch) axis of a >= 3-d array, and then:
 
 - the forward runs the lower half of the rows on the calling thread and
-  the upper half on the lane;
+  the upper half on the lane, each half start to finish in one hand-off;
 - the backward runs the per-row part the same way: the attention
   probabilities' backward, and the GELU derivative in `feed_forward`;
 - the whole-batch reductions run unsplit on one thread: the weight-grad
   products of `_matmul_rhs_grad`, whose inner dimension is B*T, and the
   bias sums. The input grads `g @ w.T` run on the other.
 
-`residual_layer_norm` always runs whole: its elementwise work is small next
-to the products, splitting it gained nothing at any shape measured, and
-its two hand-offs a call were about 30% of a training step's.
+`residual_layer_norm` always runs whole: its elementwise work is small next to
+the products, and splitting it gained nothing at any shape measured.
 
-Dropout masks are drawn on the calling thread for the full shape, at the
-same point in the PRNG stream as on one lane. Every grad is accumulated on
-the calling thread in the one-lane order. An error from either half is
-raised after both halves have finished, the lower half's first.
+Dropout masks are drawn whole on the calling thread before any split, and
+grads are accumulated there, both in the one-lane order. An error from
+either half is raised after both have finished, the lower half's first.
 
 Why the bits hold: numpy evaluates a product of >= 3-d operands as one BLAS
 call per matrix of the leading axes, ufuncs act element by element, and the
@@ -64,10 +62,10 @@ the same row of input, computed by the same calls on the same operands
 whichever half it falls in. A 2-d product is never split by rows and no
 product is flattened, since either would change the BLAS calls; the
 weight-grad products and the parameter sums, which mix all rows, always
-run whole. Every operand also keeps its one-lane layout: a strided operand
-can take another BLAS routine than a contiguous one with the same values,
-so halves write into full arrays shaped as the one-lane products, and
-attention merges its heads from those full arrays (`_merge_heads`).
+run whole. Every operand keeps its one-lane layout too (a strided operand
+can take another BLAS routine than a contiguous one with the same values):
+a leading-axis slice of a C-contiguous array has the whole's inner strides,
+and so has a half's merge of its heads (`_merge_heads`).
 """
 
 from __future__ import annotations
@@ -528,11 +526,12 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     raises NumericError on non-finite scores, dropout at rate p on the
     probabilities, the context and the output projection.
 
-    Forward and backward evaluate the same numpy expressions in the same
-    order as the composed ops (matmul, add, reshape, transpose, mul, softmax,
-    dropout), so outputs and grads match them bit for bit; x receives the
-    v, k and q input grads in that order. Backward computes every grad from
-    q, k, v, the probabilities, the dropout mask and the context alone."""
+    Forward and backward evaluate the same numpy expressions in the same order
+    as the composed ops (matmul, add, reshape, transpose, mul, softmax,
+    dropout), so outputs and grads match them bit for bit; x receives the v, k
+    and q input grads in that order. The dropout mask is drawn first, then each
+    half of the rows runs its forward in one hand-off. Backward reads q, k, v,
+    the probabilities, the mask and the context."""
     if x.ndim != 3 or x.shape[-1] % heads:
         raise ShapeError(f"attention expects (B, T, W) input with W divisible by {heads} "
                          f"heads, got shape {x.shape}")
@@ -543,19 +542,24 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     per_row_mask = add_mask is not None and np.ndim(add_mask) == 4 and len(add_mask) == b
     record = any(inp.requires_grad for inp in (x, wq, bq, wk, wv, bv, wo, bo))
 
-    def probabilities(i):
+    keep = _dropout_keep((b, heads, t, t), p, rng, training)
+    out = np.empty((b, t, w))
+    context = np.empty((b, heads, t, hd)) if record else None
+
+    def rows(i):
         lo, hi = spans[i]
-        xh = xd[lo:hi]
         split = (hi - lo, t, heads, hd)
-        q = xh @ wq.data
+        q = xd[lo:hi] @ wq.data
         q += bq.data
-        k = xh @ wk.data
-        v = xh @ wv.data
+        k = xd[lo:hi] @ wk.data
+        v = xd[lo:hi] @ wv.data
         v += bv.data
         qh = np.transpose(q.reshape(split), (0, 2, 1, 3))
         kt = np.transpose(np.transpose(k.reshape(split), (0, 2, 1, 3)), (0, 1, 3, 2))
         vh = np.transpose(v.reshape(split), (0, 2, 1, 3))
         probs = qh @ kt
+        if not record:  # no backward will read q or k
+            del q, k, qh, kt
         probs *= scale
         if add_mask is not None:
             probs += add_mask[lo:hi] if per_row_mask else add_mask
@@ -564,33 +568,19 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        return [qh, kt, vh, probs]
+        merged = _merge_heads(np.matmul(
+            probs if keep is None else probs * (keep[lo:hi] / (1.0 - p)), vh,
+            out=context[lo:hi] if record else None))
+        if not record:  # nor v or the probabilities
+            del v, vh, probs
+        np.matmul(merged, wo.data, out=out[lo:hi])
+        out[lo:hi] += bo.data
+        return [qh, kt, vh, probs] if record else None
 
-    out = np.empty((b, t, w))
     with lane(_rows(xd), xd.size) as held:
         spans = _halves(b, held)
-        parts = _each(probabilities, spans, held)
-        keep = _dropout_keep((b, heads, t, t), p, rng, training)
-        context = np.empty((b, heads, t, hd))
-
-        def attend(i):
-            lo, hi = spans[i]
-            vh, probs = parts[i][2:]
-            if not record:
-                parts[i] = None  # no backward will read q, k, v or the probabilities
-            dropped = probs if keep is None else probs * (keep[lo:hi] / (1.0 - p))
-            np.matmul(dropped, vh, out=context[lo:hi])
-
-        _each(attend, spans, held)
-        ctx = _merge_heads(context)
-        del context
-
-        def project(i):
-            lo, hi = spans[i]
-            np.matmul(ctx[lo:hi], wo.data, out=out[lo:hi])
-            out[lo:hi] += bo.data
-
-        _each(project, spans, held)
+        parts = _each(rows, spans, held)
+    ctx = _merge_heads(context) if record else None
 
     def bw(g):
         with lane(_rows(g), g.size) as held:
@@ -636,8 +626,8 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
 def _merge_heads(gh: np.ndarray) -> np.ndarray:
     """Per-head values (B, heads, T, hd) side by side as (B, T, W): a view
     where numpy's reshape allows one (T, heads or hd of 1, or a transposed
-    gh), else a copy. The layout decides which BLAS routine a later product
-    calls, so the full array is always merged as a whole."""
+    gh), else a copy. Only gh's inner strides decide which, so a leading-axis
+    slice of a C-contiguous gh merges to the layout of the whole's rows."""
     b, heads, t, hd = gh.shape
     return np.transpose(gh, (0, 2, 1, 3)).reshape((b, t, heads * hd))
 

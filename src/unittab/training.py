@@ -436,14 +436,11 @@ class FinetuneResult:
     losses: list[float]
 
 
-def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainConfig,
-             metrics_path=None) -> FinetuneResult:
-    """Supervised fine-tuning through a [CLS] head: MSE for regression,
-    cross entropy for binary classification with the positives upsampled
-    to balance. Every parameter trains, the backbone's included. Both
-    splits are checked before the task head is added or any step is
-    taken."""
-    cfg.validate()
+def check_finetune(train_samples, test_samples, task: str, t_max: int) -> None:
+    """Raise unless `task` fine-tuning can run on these splits: a known task,
+    a label on every sample, a nonempty training split (0/1 labels with both
+    classes for a binary task), a test split its metrics are defined on, and
+    no sample longer than `t_max` rows."""
     if task not in ("regression", "binary"):
         raise ConfigError(f"unknown task {task!r}")
     if any(s.label is None for s in train_samples) or any(s.label is None for s in test_samples):
@@ -453,12 +450,22 @@ def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainCon
     if task == "binary":
         _check_binary_labels(train_samples, "training", "fine-tuning", LabelError)
     _check_test_split(test_samples, task)
-    t_max = model.config.t_max
     for split, samples in (("training", train_samples), ("test", test_samples)):
         i = max(range(len(samples)), key=lambda j: len(samples[j].rows))
         if len(samples[i].rows) > t_max:
             raise LengthError(f"{split} sample {i} has {len(samples[i].rows)} rows, more than "
                               f"the model's t_max={t_max}")
+
+
+def finetune(train_samples, test_samples, model: Model, task: str, cfg: TrainConfig,
+             metrics_path=None) -> FinetuneResult:
+    """Supervised fine-tuning through a [CLS] head: MSE for regression,
+    cross entropy for binary classification with the positives upsampled
+    to balance. Every parameter trains, the backbone's included. Both
+    splits are checked before the task head is added or any step is
+    taken."""
+    cfg.validate()
+    check_finetune(train_samples, test_samples, task, model.config.t_max)
     model.ensure_task_head(task, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     if task == "binary":

@@ -270,11 +270,3 @@ def check_model(seed: int = 0) -> CheckResult:
 
     worst = max(grad_check(loss, model.params[name], h=1e-4) for name in sorted(model.params))
     return CheckResult("full_model_loss", worst, MODEL_TOL)
-
-
-def run_suite(ops=None, inject_bug: bool = False, seed: int = 0,
-              trials: int = 10) -> list[CheckResult]:
-    results = check_primitives(ops, inject_bug, seed, trials)
-    if not ops:
-        results.append(check_model(seed))
-    return results

@@ -12,8 +12,8 @@ import pytest
 from unittab.checkpoint import load_checkpoint
 from unittab.data import (
     MultitypeConfig, PollutionConfig, flatten_to_single_type,
-    gen_multitype_transactions, gen_pollution_like, last_crop, split_by_entity,
-    window,
+    gen_multitype_transactions, gen_pollution_like, labeled_windows, last_crop,
+    split_by_entity, window,
 )
 from unittab.embedding import prepare_series
 from unittab.metrics import accuracy, average_precision, f1, roc_auc
@@ -152,11 +152,7 @@ def _pollution_task(seed):
         PollutionConfig(n_entities=48, rows_per_entity=200, q_bins=16, noise=0.25,
                         coupling=0.6), 100)
     expanded, encoded = prepare_series(ds.series, ds.schema)
-    wins = []
-    for s in encoded:
-        for w in window(s, 10, 10):
-            w.label = float(ds.row_targets[s.entity_id][w.start + 9])
-            wins.append(w)
+    wins = labeled_windows(encoded, ds.row_targets, 10, 10)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     order = rng.permutation(len(wins))
     n_test = len(wins) // 4

@@ -306,7 +306,7 @@ def test_bad_dataset_file_exits_2_naming_it(fixture, name, damage, request, tmp_
     labels or targets file with no entry for an entity, a label other than
     0 or 1 (never truncated to one), or a targets list shorter than its
     series or holding a non-number, is one error line naming the file (and
-    entity)."""
+    entity), and leaves no run directory."""
     root, cfg_path = request.getfixturevalue(fixture)[:2]
     data = tmp_path / "data"
     shutil.copytree(json.loads(cfg_path.read_text())["data"]["dir"], data)
@@ -323,6 +323,19 @@ def test_bad_dataset_file_exits_2_naming_it(fixture, name, damage, request, tmp_
                    "--checkpoint", str(root / "pre" / "model.ckpt"),
                    "--out", str(tmp_path / "ft"), "--max-steps", "1") == 2
     _one_line_error(capsys, str(path), *words)
+    assert not (tmp_path / "ft").exists()
+
+
+def test_pretrain_truncated_schema_exits_2_without_a_run_directory(pipeline, tmp_path, capsys):
+    _, cfg_path, data = pipeline
+    shutil.copytree(data, tmp_path / "data")
+    schema = tmp_path / "data" / "schema.json"
+    schema.write_text(schema.read_text()[:-2])
+    capsys.readouterr()
+    assert run_cli("pretrain", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "pre")) == 2
+    _one_line_error(capsys, str(schema), "not valid JSON")
+    assert not (tmp_path / "pre").exists()
 
 
 def test_finetune_one_class_training_split_exits_2(tmp_path, capsys):
@@ -345,7 +358,7 @@ def test_finetune_one_class_training_split_exits_2(tmp_path, capsys):
                    "--checkpoint", str(tmp_path / "pre" / "model.ckpt"),
                    "--out", str(tmp_path / "ft")) == 2
     _one_line_error(capsys, "both classes in the training split", "0 positive")
-    assert not (tmp_path / "ft" / "finetuned.ckpt").exists()
+    assert not (tmp_path / "ft").exists()
 
 
 def test_eval_pretrain_checkpoint_without_task_head_exits_2(multitype_pretrained, capsys):

@@ -342,3 +342,15 @@ def test_pretrain_and_predict_share_one_worker_thread(monkeypatch):
     assert any(t is not threading.current_thread() for t in seen["threads"])
     workers = [t for t in threading.enumerate() if t.name.startswith("unittab-")]
     assert len(workers) == 1
+
+
+@pytest.mark.parametrize("op, rounds", [(attention, 1), (feed_forward, 1),
+                                        (residual_layer_norm, 0)],
+                         ids=["attention", "feed_forward", "residual_layer_norm"])
+def test_split_forward_takes_the_lane_once_per_fused_op(op, rounds, monkeypatch):
+    """A split forward hands each half its whole work in one round: one
+    submit for `attention` and `feed_forward`, none for the unsplit
+    `residual_layer_norm`."""
+    submits = use_cpus(monkeypatch, 2)
+    op(*op_inputs(op, 4, 3, 2, 2, "per_row", (), seed=0)[1])
+    assert len(submits) == rounds

@@ -7,7 +7,6 @@ benchmark's imports, its workload list, that embedding hook, or the
 mirrors' agreement with `pretrain` and `finetune`."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,8 +87,7 @@ def test_traced_finetune_matches_finetune(loop, tracing):
     split = split_by_entity([last_crop(s, 8) for s in encoded], 0.5, 0)
     assert {s.label for s in split.test} == {0, 1}
     cfg = TrainConfig(lr=1e-3, batch_size=4, seed=5, **loop)
-    # finetune sets config.task_head, so each model gets its own config
-    plain, traced = (Model(replace(config), schema, seed=5) for _ in range(2))
+    plain, traced = (Model(config, schema, seed=5) for _ in range(2))
     result = finetune(split.train, split.test, plain, "binary", cfg)
     losses, report = traced_run(tracing, traced, lambda tr: tracing.traced_finetune(
         split.train, split.test, traced, cfg, tr))

@@ -97,10 +97,6 @@ SETTABLE = [
     "verify.check_primitives(ops)",
     "verify.check_primitives(seed)",
     "verify.check_primitives(trials)",
-    "verify.run_suite(inject_bug)",
-    "verify.run_suite(ops)",
-    "verify.run_suite(seed)",
-    "verify.run_suite(trials)",
     "verify.toy_setup(seed)",
     "verify.toy_setup.row(extra)",
 ]

@@ -487,6 +487,21 @@ def test_finetune_binary_smoke():
     assert result.report.confusion is not None
 
 
+def test_finetuning_one_model_leaves_a_model_built_from_the_same_config_alone(tmp_path):
+    expanded, encoded = labeled_encoded()
+    config = ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1, seq_heads=2,
+                         freq_count=2, t_max=6, dropout=0.0)
+    tuned, other = Model(config, expanded, seed=0), Model(config, expanded, seed=0)
+    finetune(encoded[:6], encoded[6:], tuned, "binary",
+             TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=3))
+    assert tuned.config.task_head == "binary"
+    assert config.task_head is None and other.config.task_head is None
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, other, None, TrainConfig(), None, 0)
+    loaded = load_checkpoint(path, expanded).model
+    assert loaded.config.task_head is None and loaded.params.keys() == other.params.keys()
+
+
 def tiny_finetune_model(expanded):
     return Model(ModelConfig(d=8, m=16, field_layers=1, field_heads=2, seq_layers=1,
                              seq_heads=2, freq_count=2, t_max=6, dropout=0.0),
